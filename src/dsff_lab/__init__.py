@@ -7,7 +7,7 @@ estimator with contact/disconnected/connected decomposition, and a CLI
 (``dsff-lab``) tying them together.
 """
 from .bessel import BesselPolicy, bessel_j, bessel_j_row, weighted_bessel_series
-from .ensembles import EnsembleSpec, MatrixSample, kappa4_of, sample_matrix
+from .ensembles import EnsembleSpec, MatrixSample, sample_matrix
 from .estimator import (
     DsffEstimate,
     build_tau_grid,

@@ -22,18 +22,15 @@ import math
 import os
 import sys
 
-from . import __version__
+from . import SCHEMA, __version__
 from .ensembles import DISTRIBUTIONS, FIELDS, EnsembleSpec
 from .estimator import build_tau_grid, dsff_grid
-from .kernels import backend
 from .spectra import EigensolverError, SpectraError, load_spectra, sample_spectra, save_spectra
 from .svgplot import PALETTE, render_loglog
 from .theory import ComplexTime, dsff_theory, ginibre_exact_dsff, timescales
 from .verify import run_suites
 
 __all__ = ["main"]
-
-SCHEMA = "dsff-lab v1"
 
 ESTIMATE_COLUMNS = (
     "theta",
@@ -78,6 +75,10 @@ class GridMismatchError(Exception):
     """Estimate and theory CSVs disagree on the tau grid."""
 
 
+class CsvFormatError(Exception):
+    """An input CSV is not in the format this tool writes."""
+
+
 # ---------------------------------------------------------------------------
 # formatting and small IO helpers
 
@@ -115,36 +116,33 @@ def _cache_path(path):
     return os.path.join(base, path) if base else path
 
 
-def _read_csv(path):
-    """Parse a CSV written by this tool: (config dict or None, row dicts)."""
-    config = None
+def _read_csv(path, needed):
+    """Row dicts of a CSV written by this tool; CsvFormatError if malformed or lacking `needed` columns."""
     header = None
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# config: ") and config is None:
-                    config = json.loads(line[len("# config: "):])
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            values = line.split(",")
-            if len(values) != len(header):
-                raise ValueError(f"{path}: row has {len(values)} fields, header has {len(header)}")
-            rows.append({k: float(v) for k, v in zip(header, values)})
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if line.startswith("# config: "):
+                    json.loads(line[len("# config: "):])
+                if not line or line.startswith("#"):
+                    continue
+                if header is None:
+                    header = line.split(",")
+                    missing = [c for c in needed if c not in header]
+                    if missing:
+                        raise CsvFormatError(f"{path}: missing columns {missing}")
+                    continue
+                values = line.split(",")
+                if len(values) != len(header):
+                    raise CsvFormatError(f"{path}: row has {len(values)} fields, header has {len(header)}")
+                rows.append({k: float(v) for k, v in zip(header, values)})
+    except ValueError as exc:  # undecodable bytes, bad config JSON, non-numeric field
+        raise CsvFormatError(f"{path}: {exc}") from exc
     if header is None:
-        raise ValueError(f"{path}: no header row found")
-    return config, rows
-
-
-def _require_columns(path, rows, needed):
-    missing = [c for c in needed if rows and c not in rows[0]]
-    if missing:
-        raise ValueError(f"{path}: missing columns {missing}")
+        raise CsvFormatError(f"{path}: no header row found")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +168,6 @@ def _cmd_estimate(args):
     sset = load_spectra(_cache_path(args.spectra))
     taus, tau_max = _grid_from_args(args, sset.n)
     config = {
-        "backend": backend(),
         "command": "estimate",
         "m": sset.m,
         "master_seed": sset.master_seed,
@@ -263,13 +260,13 @@ def _z_score(diff, stderr):
 
 
 def _cmd_compare(args):
-    _, est_rows = _read_csv(args.estimate)
-    _, thy_rows = _read_csv(args.theory)
-    _require_columns(args.estimate, est_rows, ("theta", "abs_tau", "t", "s", "k_mean", "k_stderr"))
-    _require_columns(args.theory, thy_rows, ("t", "s", "k_total"))
+    est_needed = ["theta", "abs_tau", "t", "s", "k_mean", "k_stderr"]
+    thy_needed = ["t", "s", "k_total"]
     if args.subtract_disconnected:
-        _require_columns(args.estimate, est_rows, ("disconnected_unbiased",))
-        _require_columns(args.theory, thy_rows, ("disconnected",))
+        est_needed.append("disconnected_unbiased")
+        thy_needed.append("disconnected")
+    est_rows = _read_csv(args.estimate, est_needed)
+    thy_rows = _read_csv(args.theory, thy_needed)
     if len(est_rows) != len(thy_rows):
         raise GridMismatchError(
             f"grid mismatch: {len(est_rows)} estimate rows vs {len(thy_rows)} theory rows"
@@ -362,6 +359,13 @@ def _positive_int(text):
     return value
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _seed(text):
     value = int(text)
     if not (0 <= value < 2**64):
@@ -370,9 +374,9 @@ def _seed(text):
 
 
 def _add_grid_arguments(sub):
-    sub.add_argument("--theta", type=float, default=0.0, help="ray angle in the (t, s) plane")
-    sub.add_argument("--tau-min", type=float, default=0.1)
-    sub.add_argument("--tau-max", type=float, default=None, help="default: twice the plateau onset sqrt(N)")
+    sub.add_argument("--theta", type=_finite_float, default=0.0, help="ray angle in the (t, s) plane")
+    sub.add_argument("--tau-min", type=_finite_float, default=0.1)
+    sub.add_argument("--tau-max", type=_finite_float, default=None, help="default: twice the plateau onset sqrt(N)")
     sub.add_argument("--points", type=_positive_int, default=120)
     sub.add_argument("--spacing", choices=("log", "linear"), default="log")
 
@@ -404,7 +408,7 @@ def build_parser():
     p = sub.add_parser("theory", help="evaluate the analytic predictions on a tau grid")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--beta", type=int, choices=(1, 2), default=2)
-    p.add_argument("--kappa4", type=float, default=0.0, help="fourth cumulant of the entry law")
+    p.add_argument("--kappa4", type=_finite_float, default=0.0, help="fourth cumulant of the entry law")
     p.add_argument(
         "--exact-gaussian",
         action="store_true",
@@ -450,7 +454,7 @@ def main(argv=None):
     except EigensolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SpectraError, OSError, GridMismatchError) as exc:
+    except (SpectraError, OSError, GridMismatchError, CsvFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -30,7 +30,6 @@ __all__ = [
     "DISTRIBUTIONS",
     "EnsembleSpec",
     "MatrixSample",
-    "kappa4_of",
     "sample_matrix",
 ]
 
@@ -91,11 +90,6 @@ class EnsembleSpec:
                 f"{spec.field}/{spec.distribution} (expected {spec.kappa4})"
             )
         return spec
-
-
-def kappa4_of(spec):
-    """Fourth cumulant of the entry law (closed form, no sampling)."""
-    return spec.kappa4
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,25 @@
-"""Import-time selection of the phase-sum kernel.
+"""Phase-sum kernel: the estimator's one hot loop.
 
-The compiled Cython kernel is preferred; the numpy implementation is the
-fallback. Both produce the same values to ~1e-15 relative (sequential vs
-pairwise summation order), and whichever is active is fixed for the life of
-the process, so output reproducibility holds per install.
+Cosine and sine sums of one real phase array need no complex (M, N)
+temporaries. numpy's pairwise reductions fix the summation order for fixed
+shapes, so results are byte-identical across runs and installs.
 """
-try:
-    from ._phase_cy import linear_stat_sums
+import numpy as np
 
-    BACKEND = "compiled"
-except ImportError:  # extension not built: pure-python install
-    from ._phase_np import linear_stat_sums
+__all__ = ["linear_stat_sums", "backend"]
 
-    BACKEND = "numpy"
 
-__all__ = ["linear_stat_sums", "backend", "BACKEND"]
+def linear_stat_sums(re, im, t, s):
+    """Per-sample sums of exp(i(t x + s y)) over eigenvalues.
+
+    re, im: (m, n) float64 arrays of eigenvalue real/imaginary parts.
+    Returns an (m,) complex128 array.
+    """
+    ph = t * re
+    ph += s * im
+    return np.cos(ph).sum(axis=1) + 1j * np.sin(ph).sum(axis=1)
 
 
 def backend():
-    """Name of the active kernel implementation ("compiled" or "numpy")."""
-    return BACKEND
+    """Name of the phase-sum implementation, for run manifests."""
+    return "numpy"

@@ -12,6 +12,8 @@ errors so callers can tell corruption from version skew.
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -150,10 +152,17 @@ def _header_bytes(sset):
 
 
 def save_spectra(sset, path):
+    """Write a spectrum cache atomically; on failure `path` is left untouched."""
     payload = np.ascontiguousarray(sset.eigenvalues, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(_header_bytes(sset))
-        fh.write(payload.tobytes())
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(_header_bytes(sset))
+            fh.write(payload.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_spectra(path):

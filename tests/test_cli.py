@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dsff_lab import cli
 from dsff_lab.cli import main
 
 
@@ -63,7 +64,7 @@ def test_csv_schema_and_config(tmp_path):
     assert lines[1].startswith("# config: ")
     config = json.loads(lines[1][len("# config: "):])
     assert config["command"] == "estimate"
-    assert config["backend"] in ("compiled", "numpy")
+    assert "backend" not in config
     assert config["spec"]["n"] == 16
     assert lines[2] == (
         "theta,abs_tau,t,s,k_mean,k_stderr,disconnected_unbiased,connected,contact,M,N"
@@ -111,18 +112,6 @@ def test_cache_dir_env(tmp_path, monkeypatch):
     assert (tmp_path / "rel.bin").exists()
     assert main(["estimate", "--spectra", "rel.bin", "--points", "3", "--out",
                  str(tmp_path / "e.csv")]) == 0
-
-
-def test_missing_cache_exits_3(tmp_path, capsys):
-    assert main(["estimate", "--spectra", str(tmp_path / "nope.bin")]) == 3
-    assert "error:" in capsys.readouterr().err
-
-
-def test_corrupt_cache_exits_3(tmp_path, capsys):
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"garbage")
-    assert main(["estimate", "--spectra", str(bad)]) == 3
-    assert "error:" in capsys.readouterr().err
 
 
 def test_exact_gaussian_rejects_beta_one(capsys):
@@ -186,18 +175,93 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "all passed" in capsys.readouterr().err
 
 
-def test_no_subcommand_exits_2(capsys):
-    assert main([]) == 2
-
-
-def test_bad_argument_exits_2():
-    with pytest.raises(SystemExit) as err:
-        main(["sample", "--n", "0", "--m", "1", "--out", "x.bin"])
-    assert err.value.code == 2
-
-
 def test_theory_tau_grid_default_reaches_past_plateau(tmp_path):
     out = str(tmp_path / "default.csv")
     assert main(["theory", "--n", "100", "--points", "5", "--out", out]) == 0
     _, rows = _read_rows(out)
     assert float(rows[-1]["abs_tau"]) == pytest.approx(20.0, rel=1e-12)  # 2 sqrt(N)
+
+
+def _exit_code(argv):
+    """main's exit status, including argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _fail_eigensolver(monkeypatch):
+    def boom(_):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", boom)
+
+
+def _fail_verification(monkeypatch):
+    report = {"all_passed": False, "suites": {"bessel": [{"name": "probe", "passed": False}]}}
+    monkeypatch.setattr(cli, "run_suites", lambda names, grid_scale: report)
+
+
+@pytest.fixture(scope="module")
+def exit_files(tmp_path_factory):
+    """A valid pipeline's files plus malformed variants of its estimate CSV."""
+    tmp = tmp_path_factory.mktemp("exit-codes")
+    cache, est_csv, thy_csv = _run_pipeline(tmp)
+    lines = open(est_csv).read().splitlines()
+    fields = lines[3].split(",")
+    fields[4] = "abc"
+    malformed = {
+        "ragged": lines + ["1.0,2.0"],
+        "non_numeric": lines[:3] + [",".join(fields)] + lines[4:],
+        "no_header": lines[:2],
+        "bad_config": [lines[0], "# config: {not json"] + lines[2:],
+    }
+    files = {"cache": cache, "est": est_csv, "thy": thy_csv, "dir": str(tmp)}
+    for name, body in malformed.items():
+        files[name] = str(tmp / f"{name}.csv")
+        open(files[name], "w").write("\n".join(body) + "\n")
+    files["binary"] = str(tmp / "binary.csv")
+    open(files["binary"], "wb").write(b"\xff\xfe\x00 not text\n")
+    files["bad_cache"] = str(tmp / "bad.bin")
+    open(files["bad_cache"], "wb").write(b"garbage")
+    return files
+
+
+# Every exit code the CLI documents: 0 success, 1 eigensolver failure or
+# failed verification, 2 bad arguments, 3 cache or file trouble.
+EXIT_CASES = [
+    ("compare-ok", "compare --estimate {est} --theory {thy} --out {dir}/m.csv", 0, None, "within_3sigma"),
+    ("version", "--version", 0, None, ""),
+    ("eigensolver-failure", "sample --n 4 --m 1 --seed 1 --out {dir}/f.bin", 1, _fail_eigensolver, "error:"),
+    ("verify-failure", "verify --out {dir}/r.json", 1, _fail_verification, "1 failed"),
+    ("no-subcommand", "", 2, None, "usage"),
+    ("non-positive-n", "sample --n 0 --m 1 --out {dir}/x.bin", 2, None, "error:"),
+    ("kappa4-nan", "theory --n 8 --kappa4 nan", 2, None, "finite"),
+    ("kappa4-inf", "theory --n 8 --kappa4 inf", 2, None, "finite"),
+    ("theta-nan", "theory --n 8 --theta nan", 2, None, "finite"),
+    ("tau-min-inf", "estimate --spectra {cache} --tau-min inf", 2, None, "finite"),
+    ("tau-max-nan", "theory --n 8 --tau-max nan", 2, None, "finite"),
+    ("tau-min-above-max", "theory --n 8 --tau-min 5 --tau-max 1", 2, None, "error:"),
+    ("missing-cache", "estimate --spectra {dir}/nope.bin", 3, None, "error:"),
+    ("corrupt-cache", "estimate --spectra {bad_cache}", 3, None, "error:"),
+    ("ragged-row", "compare --estimate {ragged} --theory {thy}", 3, None, "fields"),
+    ("non-numeric-field", "compare --estimate {non_numeric} --theory {thy}", 3, None, "abc"),
+    ("no-header", "compare --estimate {no_header} --theory {thy}", 3, None, "no header"),
+    ("bad-config-line", "compare --estimate {bad_config} --theory {thy}", 3, None, "error:"),
+    ("binary-csv", "compare --estimate {binary} --theory {thy}", 3, None, "error:"),
+    ("missing-column", "compare --estimate {est} --theory {est}", 3, None, "k_total"),
+    ("missing-csv", "compare --estimate {dir}/nope.csv --theory {thy}", 3, None, "error:"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, fault, message",
+    [case[1:] for case in EXIT_CASES],
+    ids=[case[0] for case in EXIT_CASES],
+)
+def test_exit_codes(exit_files, monkeypatch, capsys, argv, code, fault, message):
+    if fault is not None:
+        fault(monkeypatch)
+    assert _exit_code(argv.format(**exit_files).split()) == code
+    captured = capsys.readouterr()
+    assert message in captured.err + captured.out

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dsff_lab.ensembles import DISTRIBUTIONS, FIELDS, EnsembleSpec, kappa4_of, sample_matrix
+from dsff_lab.ensembles import DISTRIBUTIONS, FIELDS, EnsembleSpec, sample_matrix
 
 # fourth cumulant of the normalized entry law, per (field, distribution)
 KAPPA4_TABLE = {
@@ -21,7 +21,6 @@ def test_kappa4_table():
     for (field, dist), want in KAPPA4_TABLE.items():
         spec = EnsembleSpec(field=field, distribution=dist, n=8)
         assert spec.kappa4 == pytest.approx(want, abs=1e-15)
-        assert kappa4_of(spec) == spec.kappa4
 
 
 def test_beta_property():

@@ -81,6 +81,36 @@ def test_save_load_roundtrip(tmp_path):
     assert (tmp_path / "spectra.bin").read_bytes() == (tmp_path / "spectra2.bin").read_bytes()
 
 
+def test_failed_save_leaves_no_partial_cache(tmp_path, monkeypatch):
+    old_path = tmp_path / "old.bin"
+    save_spectra(sample_spectra(SPEC, 2, 1), str(old_path))
+    old_bytes = old_path.read_bytes()
+
+    real_open = open
+
+    def open_failing_payload(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        real_write = fh.write
+
+        def write(data):
+            if not data.startswith(b"dsff-spectra "):  # the payload, after the header
+                real_write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+            return real_write(data)
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr("dsff_lab.spectra.open", open_failing_payload, raising=False)
+    sset = sample_spectra(SPEC, 4, 77)
+    for target in (tmp_path / "fresh.bin", old_path):
+        with pytest.raises(OSError, match="No space"):
+            save_spectra(sset, str(target))
+    assert not (tmp_path / "fresh.bin").exists()
+    assert old_path.read_bytes() == old_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.bin"]
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not a cache at all\n" + b"\x00" * 64)
