@@ -12,7 +12,9 @@ with repr (shortest round-trip form); reruns with identical inputs are
 byte-identical.
 
 Exit codes: 0 success, 1 eigensolver failure or failed verification,
-2 bad arguments, 3 cache or file trouble (including grid mismatch).
+2 bad arguments (including an `estimate` grid whose tau_max * rho exceeds
+MAX_PHASE), 3 cache or file trouble (including grid mismatch). Run
+diagnostics (sampling throughput, spectral radius) go to stderr only.
 """
 from __future__ import annotations
 
@@ -21,11 +23,19 @@ import json
 import math
 import os
 import sys
+import time
 
 from . import SCHEMA, __version__
 from .ensembles import DISTRIBUTIONS, FIELDS, EnsembleSpec
 from .estimator import build_tau_grid, dsff_grid
-from .spectra import EigensolverError, SpectraError, load_spectra, sample_spectra, save_spectra
+from .spectra import (
+    EigensolverError,
+    SpectraError,
+    load_spectra,
+    sample_spectra,
+    save_spectra,
+    solver_processes,
+)
 from .svgplot import PALETTE, render_loglog
 from .theory import ComplexTime, dsff_theory, ginibre_exact_dsff, timescales
 from .verify import run_suites
@@ -69,6 +79,10 @@ THEORY_COLUMNS = (
 EXACT_COLUMNS = ("theta", "abs_tau", "t", "s", "k_total", "contact", "disconnected", "connected", "N")
 
 COMPARE_COLUMNS = ("theta", "abs_tau", "t", "s", "k_mean", "k_stderr", "k_total", "z")
+
+# Largest tau_max * rho `estimate` accepts: phases t*Re(lambda) + s*Im(lambda)
+# then carry a rounding error of about 1e8 * 2^-53 ~ 1e-8 rad.
+MAX_PHASE = 1e8
 
 
 class GridMismatchError(Exception):
@@ -157,16 +171,31 @@ def _grid_from_args(args, n):
 def _cmd_sample(args):
     spec = EnsembleSpec(field=args.field, distribution=args.distribution, n=args.n)
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "little")
+    start = time.perf_counter()
     sset = sample_spectra(spec, args.m, seed, parallelism=args.workers)
+    elapsed = time.perf_counter() - start
     path = _cache_path(args.out)
     save_spectra(sset, path)
     print(f"wrote {path}: M={sset.m} N={sset.n} {args.field}/{args.distribution} seed={seed}")
+    print(
+        f"sampled M={sset.m} seconds={elapsed:.3f} samples_per_s={sset.m / elapsed:.4g} "
+        f"processes={solver_processes(args.m, args.workers)}",
+        file=sys.stderr,
+    )
     return 0
 
 
 def _cmd_estimate(args):
     sset = load_spectra(_cache_path(args.spectra))
     taus, tau_max = _grid_from_args(args, sset.n)
+    rho = sset.spectral_radius
+    print(f"spectral radius rho={rho:.6g}", file=sys.stderr)
+    reach = tau_max * rho
+    if reach > MAX_PHASE:
+        raise ValueError(
+            f"tau_max * rho = {reach:.3g} exceeds the phase limit {MAX_PHASE:g} "
+            f"(rho={rho:.6g}); past it the phase rounding error exceeds ~1e-8 rad"
+        )
     config = {
         "command": "estimate",
         "m": sset.m,

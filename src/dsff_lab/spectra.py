@@ -11,10 +11,11 @@ errors so callers can tell corruption from version skew.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import threading
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +32,18 @@ __all__ = [
     "SpectrumSet",
     "eigenvalues",
     "sample_spectra",
+    "solver_processes",
     "save_spectra",
     "load_spectra",
 ]
 
 FORMAT_VERSION = 1
 _MAGIC = b"dsff-spectra "
+# thread-count variables a pool worker's BLAS reads when it loads
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# held while those variables are pinned, so concurrent pools cannot restore
+# them under each other
+_BLAS_ENV_LOCK = threading.Lock()
 
 
 class SpectraError(Exception):
@@ -61,6 +68,12 @@ class EigensolverError(SpectraError):
     def __init__(self, sample_index, message):
         super().__init__(f"sample {sample_index}: {message}")
         self.sample_index = sample_index
+        self.message = message
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so a pool worker's failure
+        # reaches the parent as this type
+        return type(self), (self.sample_index, self.message)
 
 
 @dataclass(frozen=True)
@@ -85,6 +98,11 @@ class SpectrumSet:
     @property
     def n(self):
         return self.eigenvalues.shape[1]
+
+    @property
+    def spectral_radius(self):
+        """max |lambda| over every sampled eigenvalue."""
+        return float(np.abs(self.eigenvalues).max())
 
     def sample(self, i):
         return SpectrumSample(eigenvalues=self.eigenvalues[i], sample_index=i)
@@ -117,28 +135,92 @@ def eigenvalues(matrix):
     )
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_plan(m, parallelism, cpus):
+    """Contiguous (start, stop) index ranges, one per pool worker.
+
+    There are min(parallelism, m, cpus) ranges (at least one), covering
+    0..m-1 in order with sizes that differ by at most one.
+    """
+    workers = max(1, min(parallelism, m, cpus))
+    bounds = [m * k // workers for k in range(workers + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def solver_processes(m, parallelism):
+    """How many processes solve an m-sample run: this one, or the pool's workers."""
+    return 1 if parallelism <= 1 else len(_chunk_plan(m, parallelism, _usable_cpus()))
+
+
+def _solve_range(spec, master_seed, start, stop):
+    """Eigenvalues of samples start..stop-1 as a (stop-start, N) block."""
+    block = np.empty((stop - start, spec.n), dtype=np.complex128)
+    for i in range(start, stop):
+        block[i - start] = eigenvalues(sample_matrix(spec, master_seed, i)).eigenvalues
+    return block
+
+
+@contextlib.contextmanager
+def _single_thread_blas_env():
+    """Set the BLAS thread variables to 1 for processes spawned inside the block."""
+    with _BLAS_ENV_LOCK:
+        saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            yield
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+
+
 def sample_spectra(spec, m, master_seed, parallelism=1):
     """Sample M independent matrices and diagonalize them.
 
-    Results are a pure function of (spec, m, master_seed): each sample's
-    stream is keyed by its index, and assembly is by index, so any
-    parallelism level yields identical bytes.
+    Each sample's stream is keyed by (master_seed, index) and results are
+    assembled by index. `parallelism=1` solves in this process with the
+    caller's BLAS. `parallelism > 1` solves contiguous index ranges in a
+    pool of min(parallelism, m, usable CPUs) spawned processes, each with
+    one BLAS thread. LAPACK's result can depend on the BLAS thread count
+    (it does for complex N >= 128), so the bytes equal those of
+    `parallelism=1` in a process that also runs one BLAS thread. A script
+    that calls this with `parallelism > 1` needs an
+    `if __name__ == "__main__":` guard, because spawned workers import the
+    main module.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    out = np.empty((m, spec.n), dtype=np.complex128)
-
-    def solve(i):
-        out[i] = eigenvalues(sample_matrix(spec, master_seed, i)).eigenvalues
-
     if parallelism <= 1:
-        for i in range(m):
-            solve(i)
+        out = _solve_range(spec, master_seed, 0, m)
     else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            # materialize to propagate the first failure
-            list(pool.map(solve, range(m)))
+        out = _solve_in_pool(spec, master_seed, _chunk_plan(m, parallelism, _usable_cpus()))
     return SpectrumSet(spec=spec, master_seed=master_seed, eigenvalues=out)
+
+
+def _solve_in_pool(spec, master_seed, plan):
+    """Solve each (start, stop) range of `plan` in its own spawned worker."""
+    # imported here: they add ~20 ms to every start of the package
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    out = np.empty((plan[-1][1], spec.n), dtype=np.complex128)
+    # spawn, not fork: a forked child inherits a BLAS already started with
+    # the parent's thread count
+    context = multiprocessing.get_context("spawn")
+    with _single_thread_blas_env(), ProcessPoolExecutor(len(plan), mp_context=context) as pool:
+        futures = [pool.submit(_solve_range, spec, master_seed, a, b) for a, b in plan]
+        # in index order, so the lowest failing sample is the one reported
+        for (a, b), future in zip(plan, futures):
+            out[a:b] = future.result()
+    return out
 
 
 def _header_bytes(sset):

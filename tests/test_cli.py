@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from dsff_lab import cli
 from dsff_lab.cli import main
+from dsff_lab.ensembles import EnsembleSpec
+from dsff_lab.spectra import sample_spectra, save_spectra
 
 
 def _run_pipeline(tmp_path, n=16, m=12, seed=5, points=10):
@@ -96,6 +101,37 @@ def test_sample_echoes_seed(tmp_path, capsys):
     cache = str(tmp_path / "s.bin")
     assert main(["sample", "--n", "8", "--m", "2", "--seed", "99", "--out", cache]) == 0
     assert "seed=99" in capsys.readouterr().out
+
+
+def test_sample_summary_goes_to_stderr(tmp_path, capsys):
+    cache = tmp_path / "s.bin"
+    assert main(["sample", "--n", "8", "--m", "3", "--seed", "99", "--out", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {cache}: M=3 N=8 complex/gaussian seed=99\n"
+    summary = captured.err.split()
+    assert summary[:2] == ["sampled", "M=3"]
+    assert summary[-1] == "processes=1"
+    assert any(field.startswith("samples_per_s=") for field in summary)
+    reference = tmp_path / "reference.bin"
+    save_spectra(sample_spectra(EnsembleSpec("complex", "gaussian", 8), 3, 99), str(reference))
+    assert cache.read_bytes() == reference.read_bytes()
+
+
+def test_pool_workers_match_single_thread_serial_bytes(tmp_path):
+    # At complex N=256 LAPACK's bytes depend on the BLAS thread count, so this
+    # checks that pool workers run one BLAS thread whatever the parent's setting.
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    pinned = dict(unset, **dict.fromkeys(blas_vars, "1"))
+    caches = {}
+    for workers, env in ((2, unset), (1, pinned)):
+        caches[workers] = tmp_path / f"w{workers}.bin"
+        subprocess.run(
+            [sys.executable, "-m", "dsff_lab.cli", "sample", "--n", "256", "--m", "4",
+             "--seed", "11", "--workers", str(workers), "--out", str(caches[workers])],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+    assert caches[2].read_bytes() == caches[1].read_bytes()
 
 
 def test_sample_draws_entropy_seed(tmp_path, capsys):
@@ -242,6 +278,8 @@ EXIT_CASES = [
     ("tau-min-inf", "estimate --spectra {cache} --tau-min inf", 2, None, "finite"),
     ("tau-max-nan", "theory --n 8 --tau-max nan", 2, None, "finite"),
     ("tau-min-above-max", "theory --n 8 --tau-min 5 --tau-max 1", 2, None, "error:"),
+    ("tau-beyond-phase-precision", "estimate --spectra {cache} --tau-min 1e299 --tau-max 1e300", 2, None,
+     "phase limit 1e+08"),
     ("missing-cache", "estimate --spectra {dir}/nope.bin", 3, None, "error:"),
     ("corrupt-cache", "estimate --spectra {bad_cache}", 3, None, "error:"),
     ("ragged-row", "compare --estimate {ragged} --theory {thy}", 3, None, "fields"),

@@ -1,3 +1,6 @@
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,12 @@ from dsff_lab.spectra import (
     CacheVersionError,
     EigensolverError,
     SpectraError,
+    _chunk_plan,
     eigenvalues,
     load_spectra,
     sample_spectra,
     save_spectra,
+    solver_processes,
 )
 
 SPEC = EnsembleSpec(field="complex", distribution="gaussian", n=16)
@@ -43,13 +48,43 @@ def test_eigensolver_error_carries_sample_index(monkeypatch):
     assert isinstance(err.value, SpectraError)
 
 
+def test_eigensolver_error_pickle_round_trip():
+    err = pickle.loads(pickle.dumps(EigensolverError(3, "x")))
+    assert type(err) is EigensolverError
+    assert err.sample_index == 3
+    assert str(err) == "sample 3: x"
+
+
 def test_sample_spectra_shape_and_determinism():
+    environ = dict(os.environ)
     a = sample_spectra(SPEC, 6, 123, parallelism=1)
     b = sample_spectra(SPEC, 6, 123, parallelism=3)
     assert a.eigenvalues.shape == (6, 16)
     assert a.eigenvalues.dtype == np.complex128
     assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
     assert a.m == 6 and a.n == 16
+    assert dict(os.environ) == environ  # the pool's BLAS pinning is undone
+
+
+def test_chunk_plan_caps_the_pool():
+    # a pure function: no process is started here
+    assert _chunk_plan(3, 10**6, 64) == [(0, 1), (1, 2), (2, 3)]
+    assert _chunk_plan(5, 10**6, 2) == [(0, 2), (2, 5)]
+    assert _chunk_plan(7, 10**6, 1) == [(0, 7)]
+    assert _chunk_plan(1, 2, 8) == [(0, 1)]
+    for m in range(1, 12):
+        for parallelism in (2, 3, 10**6):
+            plan = _chunk_plan(m, parallelism, 4)
+            assert len(plan) == min(parallelism, m, 4)
+            assert plan[0][0] == 0 and plan[-1][1] == m
+            assert all(prev[1] == nxt[0] for prev, nxt in zip(plan, plan[1:]))
+            sizes = [b - a for a, b in plan]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+
+def test_solver_processes():
+    assert solver_processes(1000, 1) == 1
+    assert 1 <= solver_processes(2, 10**6) <= 2
 
 
 def test_sample_views():
