@@ -6,7 +6,7 @@ ensembles with counter-based reproducible sampling, an unbiased DSFF
 estimator with contact/disconnected/connected decomposition, and a CLI
 (``dsff-lab``) tying them together.
 """
-from .bessel import BesselPolicy, bessel_j, bessel_j_row, weighted_bessel_series
+from .bessel import bessel_j, bessel_j_row, weighted_bessel_series
 from .ensembles import EnsembleSpec, MatrixSample, sample_matrix
 from .estimator import (
     DsffEstimate,

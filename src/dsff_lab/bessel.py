@@ -13,37 +13,25 @@ Negative orders go through the reflection J_{-n} = (-1)^n J_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BesselPolicy",
-    "DEFAULT_POLICY",
+    "SERIES_THRESHOLD",
+    "TAIL_TOLERANCE",
+    "MAX_ORDER",
     "bessel_j",
     "bessel_j_row",
     "weighted_bessel_series",
 ]
 
 
-@dataclass(frozen=True)
-class BesselPolicy:
-    """Evaluation policy: route switch point, series tail target, order cap."""
-
-    series_threshold: float = 12.0
-    tail_tolerance: float = 1e-12
-    max_order: int = 20000
-
-    def __post_init__(self):
-        if not (self.series_threshold > 0 and math.isfinite(self.series_threshold)):
-            raise ValueError("series_threshold must be positive and finite")
-        if not (0 < self.tail_tolerance < 1):
-            raise ValueError("tail_tolerance must lie in (0, 1)")
-        if self.max_order < 1:
-            raise ValueError("max_order must be a positive integer")
-
-
-DEFAULT_POLICY = BesselPolicy()
+# Arguments below this use the power series, the rest downward recurrence.
+SERIES_THRESHOLD = 12.0
+# weighted_bessel_series stops once its last two terms fall below this.
+TAIL_TOLERANCE = 1e-12
+# Largest order evaluated (and largest recurrence start, up to padding).
+MAX_ORDER = 20000
 
 # Extra orders above max(n, x) before starting the downward recurrence.
 # The turning point sits near k = x; super-exponential decay beyond it makes
@@ -52,7 +40,7 @@ _MILLER_PAD = 22
 _RESCALE_LIMIT = 1e250
 
 
-def _validate_argument(x, policy):
+def _validate_argument(x):
     if not (isinstance(x, (int, float)) and math.isfinite(x)):
         raise ValueError(f"argument must be a finite real number, got {x!r}")
     if x < 0:
@@ -79,14 +67,14 @@ def _series_jn(n, x):
     return total
 
 
-def _row_miller(n_max, x, policy):
+def _row_miller(n_max, x):
     """J_0..J_n_max by downward recurrence, normalized by the even-sum rule."""
     start = max(n_max, math.ceil(x)) + int(3.0 * x ** (1.0 / 3.0)) + _MILLER_PAD
     start += start % 2  # even start keeps the normalization bookkeeping simple
-    if start > policy.max_order + _MILLER_PAD + 2:
+    if start > MAX_ORDER + _MILLER_PAD + 2:
         raise ValueError(
             f"order {n_max} at argument {x} needs recurrence depth {start} "
-            f"beyond max_order={policy.max_order}"
+            f"beyond max_order={MAX_ORDER}"
         )
     row = np.zeros(n_max + 1)
     jp = 0.0  # J_{k+1} (unnormalized)
@@ -110,33 +98,33 @@ def _row_miller(n_max, x, policy):
     return row
 
 
-def bessel_j(n, x, policy=DEFAULT_POLICY):
+def bessel_j(n, x):
     """J_n(x) for integer n (any sign) and real x >= 0.
 
     Absolute accuracy ~1e-13 over the contract range (x <= 50, |n| <= 200);
     degrades gracefully for larger arguments.
     """
-    x = _validate_argument(x, policy)
+    x = _validate_argument(x)
     n = int(n)
-    if abs(n) > policy.max_order:
-        raise ValueError(f"order {n} exceeds max_order={policy.max_order}")
+    if abs(n) > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds max_order={MAX_ORDER}")
     sign = -1.0 if (n < 0 and n % 2 != 0) else 1.0
     n = abs(n)
-    if x < policy.series_threshold:
+    if x < SERIES_THRESHOLD:
         return sign * _series_jn(n, x)
-    return sign * _row_miller(n, x, policy)[n]
+    return sign * _row_miller(n, x)[n]
 
 
-def bessel_j_row(n_max, x, policy=DEFAULT_POLICY):
+def bessel_j_row(n_max, x):
     """Array [J_0(x), J_1(x), ..., J_n_max(x)] sharing one recurrence pass."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    x = _validate_argument(x, policy)
-    if n_max > policy.max_order:
-        raise ValueError(f"order {n_max} exceeds max_order={policy.max_order}")
-    if x < policy.series_threshold:
+    x = _validate_argument(x)
+    if n_max > MAX_ORDER:
+        raise ValueError(f"order {n_max} exceeds max_order={MAX_ORDER}")
+    if x < SERIES_THRESHOLD:
         return np.array([_series_jn(n, x) for n in range(n_max + 1)])
-    return _row_miller(n_max, x, policy)
+    return _row_miller(n_max, x)
 
 
 def _weight_values(weight, k, phi):
@@ -151,7 +139,7 @@ def _weight_values(weight, k, phi):
     raise ValueError(f"unknown weight {weight!r}")
 
 
-def weighted_bessel_series(x, weight, phi=None, policy=DEFAULT_POLICY):
+def weighted_bessel_series(x, weight, phi=None):
     """sum over all integer k of w(k) J_k(x)^2.
 
     Weights: "abs_k" -> |k|, "k_squared" -> k^2,
@@ -159,24 +147,22 @@ def weighted_bessel_series(x, weight, phi=None, policy=DEFAULT_POLICY):
     All three are even in k and vanish at k=0, so the sum is
     2 sum_{k>=1} w(k) J_k(x)^2.
     """
-    x = _validate_argument(x, policy)
-    if policy.max_order < 2 * math.ceil(x):
-        raise ValueError(
-            f"policy.max_order={policy.max_order} below 2*ceil(x)={2 * math.ceil(x)}"
-        )
+    x = _validate_argument(x)
+    if MAX_ORDER < 2 * math.ceil(x):
+        raise ValueError(f"max_order={MAX_ORDER} below 2*ceil(x)={2 * math.ceil(x)}")
     k_trunc = math.ceil(x) + math.ceil(3.0 * x ** (1.0 / 3.0)) + 20
     while True:
-        if k_trunc > policy.max_order:
+        if k_trunc > MAX_ORDER:
             raise ValueError(
-                f"truncation order {k_trunc} exceeds max_order={policy.max_order}"
+                f"truncation order {k_trunc} exceeds max_order={MAX_ORDER}"
             )
-        row = bessel_j_row(k_trunc, x, policy)
+        row = bessel_j_row(k_trunc, x)
         k = np.arange(1, k_trunc + 1)
         terms = _weight_values(weight, k, phi) * row[1:] ** 2
         # beyond the turning point J_k^2 decays super-exponentially, so a
         # small final term bounds the tail; |k|-type weights grow at most
         # quadratically and cannot overcome that decay
         tail = abs(terms[-1]) + abs(terms[-2])
-        if tail < policy.tail_tolerance:
+        if tail < TAIL_TOLERANCE:
             return 2.0 * float(np.sum(terms))
         k_trunc += 20

@@ -13,8 +13,9 @@ byte-identical.
 
 Exit codes: 0 success, 1 eigensolver failure or failed verification,
 2 bad arguments (including an `estimate` grid whose tau_max * rho exceeds
-MAX_PHASE), 3 cache or file trouble (including grid mismatch). Run
-diagnostics (sampling throughput, spectral radius) go to stderr only.
+MAX_PHASE), 3 cache or file trouble (including grid mismatch and non-finite
+cache payloads). Run diagnostics (sampling and estimation throughput,
+spectral radius) go to stderr only.
 """
 from __future__ import annotations
 
@@ -208,6 +209,9 @@ def _cmd_estimate(args):
         "theta": args.theta,
         "version": __version__,
     }
+    start = time.perf_counter()
+    estimates = dsff_grid(sset, taus)
+    elapsed = time.perf_counter() - start
     rows = [
         (
             est.tau.theta,
@@ -222,9 +226,14 @@ def _cmd_estimate(args):
             est.m,
             sset.n,
         )
-        for est in dsff_grid(sset, taus)
+        for est in estimates
     ]
     _write_text(args.out, _csv_text(config, ESTIMATE_COLUMNS, rows))
+    print(
+        f"estimated points={len(estimates)} seconds={elapsed:.3f} "
+        f"points_per_s={len(estimates) / elapsed:.4g}",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -364,7 +373,7 @@ def _cmd_compare(args):
 
 
 def _cmd_verify(args):
-    report = run_suites(args.suite or None, grid_scale=args.grid_scale)
+    report = run_suites(args.suite or None)
     _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     total = sum(len(cs) for cs in report["suites"].values())
     failed = [
@@ -466,7 +475,6 @@ def build_parser():
         choices=("bessel", "quadrature", "theory", "estimator"),
         help="repeatable; default: all suites",
     )
-    p.add_argument("--grid-scale", type=_positive_int, default=1)
     p.add_argument("--out", default=None, help="JSON report path (default: stdout)")
     p.set_defaults(func=_cmd_verify)
     return parser

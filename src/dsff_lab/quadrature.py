@@ -80,24 +80,23 @@ def disk_integral(f, grid):
     return grid.integrate_values(np.asarray(f(grid.x, grid.y)))
 
 
-def boundary_average(f, n_nodes=512):
-    """(1/2pi) integral of f over the unit circle; f takes an angle array."""
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be positive")
-    theta = np.arange(n_nodes) * (2.0 * np.pi / n_nodes)
+def boundary_average(f):
+    """(1/2pi) integral of f over the unit circle by the 512-node trapezoid rule.
+
+    f takes an angle array.
+    """
+    theta = np.arange(512) * (2.0 * np.pi / 512)
     return np.mean(np.asarray(f(theta)))
 
 
-def chord_integral(t, n_nodes=256):
-    """(1/2pi) integral_{-1}^{1} e^{itx} / sqrt(1-x^2) dx, Chebyshev-Gauss.
+def chord_integral(t):
+    """(1/2pi) integral_{-1}^{1} e^{itx} / sqrt(1-x^2) dx, 256-node Chebyshev-Gauss.
 
     Equals J_0(t)/2; the imaginary part cancels exactly on the symmetric
     Chebyshev nodes, so a real number is returned.
     """
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be positive")
-    k = np.arange(1, n_nodes + 1)
-    x = np.cos((2 * k - 1) * np.pi / (2 * n_nodes))
+    k = np.arange(1, 257)
+    x = np.cos((2 * k - 1) * np.pi / 512)
     return float(np.mean(np.cos(t * x))) / 2.0
 
 

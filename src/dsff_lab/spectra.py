@@ -6,8 +6,8 @@ Cache layout (format_version 1): one header line
 
 with canonical JSON (sorted keys, no whitespace), followed by raw
 little-endian float64 (re, im) pairs, sample-major. Round-trips are
-bit-exact; header, version, and payload-length problems raise distinct
-errors so callers can tell corruption from version skew.
+bit-exact; header, version, payload-length and non-finite-payload problems
+raise distinct errors so callers can tell corruption from version skew.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ __all__ = [
     "CacheHeaderError",
     "CacheVersionError",
     "CacheLengthError",
+    "CachePayloadError",
     "EigensolverError",
     "SpectrumSample",
     "SpectrumSet",
@@ -62,6 +63,10 @@ class CacheLengthError(SpectraError):
     """Payload byte count disagrees with the header's M and N."""
 
 
+class CachePayloadError(SpectraError):
+    """Payload holds a NaN or infinite eigenvalue."""
+
+
 class EigensolverError(SpectraError):
     """QR iteration failed to converge; carries the sample index."""
 
@@ -89,7 +94,6 @@ class SpectrumSet:
     spec: EnsembleSpec
     master_seed: int
     eigenvalues: np.ndarray = field(repr=False)
-    format_version: int = FORMAT_VERSION
 
     @property
     def m(self):
@@ -225,7 +229,7 @@ def _solve_in_pool(spec, master_seed, plan):
 
 def _header_bytes(sset):
     obj = {
-        "format_version": sset.format_version,
+        "format_version": FORMAT_VERSION,
         "m": sset.m,
         "master_seed": sset.master_seed,
         "spec": json.loads(sset.spec.canonical_json()),
@@ -274,5 +278,7 @@ def load_spectra(path):
             f"(M={m}, N={spec.n})"
         )
     eigs = np.frombuffer(blob, dtype="<c16", offset=cut + 1).reshape(m, spec.n)
+    if not np.isfinite(eigs).all():
+        raise CachePayloadError(f"{path}: payload holds a non-finite eigenvalue")
     eigs.flags.writeable = False
     return SpectrumSet(spec=spec, master_seed=master_seed, eigenvalues=eigs)

@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bessel import DEFAULT_POLICY, bessel_j, weighted_bessel_series
+from .bessel import bessel_j, weighted_bessel_series
 from .quadrature import disk_grid, real_axis_correction_integral
 
 __all__ = [
@@ -92,33 +92,34 @@ def plane_wave(t, s):
 _SMALL = 1e-4
 
 
-def _j1_over_x(x, policy=DEFAULT_POLICY):
+def _j1_over_x(x):
     """J_1(x)/x with its limit 1/2 at x = 0."""
     if x < _SMALL:
         x2 = x * x
         return 0.5 - x2 / 16.0 + x2 * x2 / 384.0
-    return bessel_j(1, x, policy) / x
+    return bessel_j(1, x) / x
 
 
-def _j3_over_x(x, policy=DEFAULT_POLICY):
+def _j3_over_x(x):
     """J_3(x)/x with its limit 0 at x = 0."""
     if x < _SMALL:
         return x * x / 48.0
-    return bessel_j(3, x, policy) / x
+    return bessel_j(3, x) / x
 
 
-def _j1_2s_over_s(s, policy=DEFAULT_POLICY):
+def _j1_2s_over_s(s):
     """J_1(2s)/s with its limit 1 at s = 0 (even in s)."""
     s = abs(s)
     if s < _SMALL:
         s2 = s * s
         return 1.0 - s2 / 2.0 + s2 * s2 / 12.0
-    return bessel_j(1, 2.0 * s, policy) / s
+    return bessel_j(1, 2.0 * s) / s
 
 
-@functools.lru_cache(maxsize=4)
-def _default_grid(radial_nodes=400, angular_nodes=512):
-    return disk_grid(radial_nodes, angular_nodes)
+@functools.cache
+def _real_axis_grid():
+    """The 400 x 512 disk grid of the beta=1 real-axis correction, built once."""
+    return disk_grid(400, 512)
 
 
 def _validate_beta(beta):
@@ -126,62 +127,55 @@ def _validate_beta(beta):
         raise ValueError(f"beta must be 1 (real) or 2 (complex), got {beta!r}")
 
 
-def _expectation_terms(tau, n, kappa4, beta, grid, policy):
+def _expectation_terms(tau, n, kappa4, beta):
     """Terms of E[L]/n; multiplying by n gives the unnormalized expectation."""
     x = tau.abs_tau
-    j1x = _j1_over_x(x, policy)
+    j1x = _j1_over_x(x)
     terms = {
         "leading": 2.0 * j1x,
         "laplacian": -x * x * j1x / (4.0 * n),
-        "kappa4": 4.0 * kappa4 * _j3_over_x(x, policy) / n,
+        "kappa4": 4.0 * kappa4 * _j3_over_x(x) / n,
         "real_axis": 0.0,
     }
     if beta == 1:
-        if grid is None:
-            grid = _default_grid()
         corr = (
-            real_axis_correction_integral(tau.t, tau.s, grid)
-            - bessel_j(0, x, policy)
-            + bessel_j(0, abs(tau.t), policy) / 2.0
+            real_axis_correction_integral(tau.t, tau.s, _real_axis_grid())
+            - bessel_j(0, x)
+            + bessel_j(0, abs(tau.t)) / 2.0
             + math.cos(tau.t) / 2.0
         )
         terms["real_axis"] = corr / n
     return terms
 
 
-def expectation_linear_stat(tau, n, kappa4=0.0, beta=2, grid=None, policy=DEFAULT_POLICY):
+def expectation_linear_stat(tau, n, kappa4=0.0, beta=2):
     """E[L] for L = sum_j exp(i(t x_j + s y_j)) over the N eigenvalues.
 
     Real to the stated order for both symmetry classes; tau = 0 gives exactly
     N. The beta=1 branch adds the real-axis correction
-    I(t,s) - J_0(|tau|) + J_0(t)/2 + cos(t)/2 evaluated on `grid`
-    (default 400 x 512).
+    I(t,s) - J_0(|tau|) + J_0(t)/2 + cos(t)/2, with I on a 400 x 512 disk grid.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     _validate_beta(beta)
-    terms = _expectation_terms(tau, n, kappa4, beta, grid, policy)
+    terms = _expectation_terms(tau, n, kappa4, beta)
     return n * sum(terms.values())
 
 
-def _variance_terms(tau, kappa4, beta, policy):
+def _variance_terms(tau, kappa4, beta):
     x = tau.abs_tau
-    kappa_coeff = 2.0 * _j1_over_x(x, policy) - bessel_j(0, x, policy)
+    kappa_coeff = 2.0 * _j1_over_x(x) - bessel_j(0, x)
     terms = {"gradient": x * x / 4.0, "real_ramp": 0.0}
     if beta == 2:
-        terms["series"] = 0.5 * weighted_bessel_series(x, "abs_k", policy=policy)
+        terms["series"] = 0.5 * weighted_bessel_series(x, "abs_k")
     else:
-        terms["series"] = weighted_bessel_series(
-            x, "abs_k_sin_sq", phi=tau.phi, policy=policy
-        )
-        terms["real_ramp"] = (
-            (tau.t**2 - tau.s**2) * _j1_2s_over_s(tau.s, policy) / 4.0
-        )
+        terms["series"] = weighted_bessel_series(x, "abs_k_sin_sq", phi=tau.phi)
+        terms["real_ramp"] = (tau.t**2 - tau.s**2) * _j1_2s_over_s(tau.s) / 4.0
     terms["kappa4"] = kappa4 * kappa_coeff**2
     return terms
 
 
-def variance_linear_stat(tau, kappa4=0.0, beta=2, policy=DEFAULT_POLICY):
+def variance_linear_stat(tau, kappa4=0.0, beta=2):
     """Limiting Var(L); nonnegative, 0 at tau = 0.
 
     beta=2: |tau|^2/4 + (1/2) sum |k| J_k^2 + kappa4 (2J_1/|tau| - J_0)^2.
@@ -189,7 +183,7 @@ def variance_linear_stat(tau, kappa4=0.0, beta=2, policy=DEFAULT_POLICY):
             + the same kappa4 term.
     """
     _validate_beta(beta)
-    return sum(_variance_terms(tau, kappa4, beta, policy).values())
+    return sum(_variance_terms(tau, kappa4, beta).values())
 
 
 @dataclass(frozen=True)
@@ -217,7 +211,7 @@ class TheoryPrediction:
         return self.disconnected + self.connected
 
 
-def dsff_theory(tau, n, kappa4=0.0, beta=2, grid=None, policy=DEFAULT_POLICY):
+def dsff_theory(tau, n, kappa4=0.0, beta=2):
     """Form-factor prediction K = (E[L]/N)^2 + Var(L)/N^2 with term breakdown.
 
     validity_warning flags |tau| beyond N^(2/7), the proven range; the
@@ -227,8 +221,8 @@ def dsff_theory(tau, n, kappa4=0.0, beta=2, grid=None, policy=DEFAULT_POLICY):
     if n < 1:
         raise ValueError("n must be a positive integer")
     _validate_beta(beta)
-    e_terms = _expectation_terms(tau, n, kappa4, beta, grid, policy)
-    v_terms = _variance_terms(tau, kappa4, beta, policy)
+    e_terms = _expectation_terms(tau, n, kappa4, beta)
+    v_terms = _variance_terms(tau, kappa4, beta)
     return TheoryPrediction(
         tau=tau,
         n=n,
@@ -242,7 +236,7 @@ def dsff_theory(tau, n, kappa4=0.0, beta=2, grid=None, policy=DEFAULT_POLICY):
     )
 
 
-def dsff_simplified(tau, n, beta=2, policy=DEFAULT_POLICY):
+def dsff_simplified(tau, n, beta=2):
     """Reduced prediction 4J_1^2/|tau|^2 + (|tau|^2/4 + anisotropy)/N^2.
 
     The anisotropy term (t^2 - s^2)(2/beta - 1) J_1(2s)/(4s) only survives
@@ -254,8 +248,8 @@ def dsff_simplified(tau, n, beta=2, policy=DEFAULT_POLICY):
     x = tau.abs_tau
     if x == 0.0:
         raise ValueError("simplified prediction is undefined at tau = 0")
-    j1x = _j1_over_x(x, policy)
-    aniso = (2.0 / beta - 1.0) * (tau.t**2 - tau.s**2) * _j1_2s_over_s(tau.s, policy) / 4.0
+    j1x = _j1_over_x(x)
+    aniso = (2.0 / beta - 1.0) * (tau.t**2 - tau.s**2) * _j1_2s_over_s(tau.s) / 4.0
     return 4.0 * j1x * j1x + (x * x / 4.0 + aniso) / n**2
 
 
@@ -272,7 +266,7 @@ class GinibreDsff:
         return self.contact + self.disconnected + self.connected
 
 
-def ginibre_exact_dsff(tau, n, policy=DEFAULT_POLICY):
+def ginibre_exact_dsff(tau, n):
     """K = 1/N + 4 J_1(|tau|)^2/|tau|^2 - exp(-|tau|^2/(4N))/N.
 
     K(0) = 1 exactly; the plateau at large |tau| is the contact term 1/N.
@@ -283,7 +277,7 @@ def ginibre_exact_dsff(tau, n, policy=DEFAULT_POLICY):
     if n < 1:
         raise ValueError("n must be a positive integer")
     x = tau.abs_tau
-    j1x = _j1_over_x(x, policy)
+    j1x = _j1_over_x(x)
     return GinibreDsff(
         contact=1.0 / n,
         disconnected=4.0 * j1x * j1x,

@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import bessel, quadrature
-from .bessel import DEFAULT_POLICY, bessel_j, bessel_j_row, weighted_bessel_series
+from . import quadrature
+from .bessel import bessel_j, bessel_j_row, weighted_bessel_series
 from .estimator import estimate_from_linear_stats, linear_stat
 from .spectra import SpectrumSample
 from .theory import (
@@ -54,7 +54,7 @@ def _check(name, deviation, tolerance, detail=""):
 # ---------------------------------------------------------------------------
 
 
-def suite_bessel(grid_scale=1):
+def suite_bessel():
     checks = []
     xs = [0.5, 3.0, 7.5, 12.0, 25.0, 50.0]
 
@@ -132,10 +132,10 @@ def suite_bessel(grid_scale=1):
 # ---------------------------------------------------------------------------
 
 
-def suite_quadrature(grid_scale=1):
+def suite_quadrature():
     checks = []
-    grid = quadrature.disk_grid(400 * grid_scale, 512 * grid_scale)
-    coarse = quadrature.disk_grid(200 * grid_scale, 256 * grid_scale)
+    grid = quadrature.disk_grid(400, 512)
+    coarse = quadrature.disk_grid(200, 256)
 
     checks.append(
         _check("weight_sum_pi", abs(grid.weight_sum - math.pi), 1e-12, "sum of weights = pi")
@@ -188,14 +188,14 @@ def suite_quadrature(grid_scale=1):
     for t, s in ((2.0, 0.0), (4.0, 5.6)):
         x = math.hypot(t, s)
         f = lambda th: np.exp(1j * (t * np.cos(th) + s * np.sin(th)))
-        dev = max(dev, abs(quadrature.boundary_average(f, 512) - bessel_j(0, x)))
+        dev = max(dev, abs(quadrature.boundary_average(f) - bessel_j(0, x)))
     checks.append(_check("boundary_average_j0", dev, 1e-10, "circle mean of f = J_0(|tau|)"))
 
     t, s, k = 1.5, 0.7, 2
     x, phi = math.hypot(t, s), math.atan2(t, s)
     f = lambda th: np.exp(-1j * k * th) * np.exp(1j * (t * np.cos(th) + s * np.sin(th)))
     target = np.exp(1j * phi * k) * bessel_j(k, x)
-    dev = abs(quadrature.boundary_average(f, 512) - target)
+    dev = abs(quadrature.boundary_average(f) - target)
     checks.append(
         _check("boundary_fourier_mode", dev, 1e-10, "f_hat(k) = e^{i phi k} J_k(|tau|)")
     )
@@ -276,9 +276,9 @@ def suite_quadrature(grid_scale=1):
 # ---------------------------------------------------------------------------
 
 
-def suite_theory(grid_scale=1):
+def suite_theory():
     checks = []
-    grid = quadrature.disk_grid(400 * grid_scale, 512 * grid_scale)
+    grid = quadrature.disk_grid(400, 512)
 
     base = dsff_theory(ComplexTime.from_polar(3.0, 0.0), 500, kappa4=-1.0, beta=2)
     dev = 0.0
@@ -291,13 +291,13 @@ def suite_theory(grid_scale=1):
     checks.append(_check("rotation_invariance_complex", dev, 1e-12, "beta=2 depends on |tau| only"))
 
     tau = ComplexTime(1.5, 0.7)
-    e0 = expectation_linear_stat(tau, 300, kappa4=-2.0, beta=1, grid=grid)
+    e0 = expectation_linear_stat(tau, 300, kappa4=-2.0, beta=1)
     v0 = variance_linear_stat(tau, kappa4=-2.0, beta=1)
     dev = 0.0
     for flipped in (ComplexTime(-1.5, 0.7), ComplexTime(1.5, -0.7), ComplexTime(-1.5, -0.7)):
         dev = max(
             dev,
-            abs(expectation_linear_stat(flipped, 300, kappa4=-2.0, beta=1, grid=grid) - e0)
+            abs(expectation_linear_stat(flipped, 300, kappa4=-2.0, beta=1) - e0)
             / abs(e0),
             abs(variance_linear_stat(flipped, kappa4=-2.0, beta=1) - v0) / v0,
         )
@@ -307,9 +307,7 @@ def suite_theory(grid_scale=1):
     for x in (2.0, 5.0):
         f = plane_wave(x, 0.0)
         mean_route = quadrature.disk_integral(f, grid).real / math.pi
-        circle_route = quadrature.boundary_average(
-            lambda th: np.exp(1j * x * np.cos(th)), 512
-        ).real
+        circle_route = quadrature.boundary_average(lambda th: np.exp(1j * x * np.cos(th))).real
         quad_coeff = (mean_route - circle_route) ** 2
         bessel_coeff = (2 * bessel_j(1, x) / x - bessel_j(0, x)) ** 2
         dev = max(dev, abs(quad_coeff - bessel_coeff))
@@ -329,7 +327,7 @@ def suite_theory(grid_scale=1):
 
     dev = 0.0
     for beta in (1, 2):
-        e = expectation_linear_stat(ComplexTime(0.0, 0.0), 700, kappa4=-1.0, beta=beta, grid=grid)
+        e = expectation_linear_stat(ComplexTime(0.0, 0.0), 700, kappa4=-1.0, beta=beta)
         dev = max(dev, abs(e - 700.0) / 700.0)
     checks.append(_check("expectation_tau0_equals_n", dev, 1e-12, "E[L](0) = N both classes"))
 
@@ -342,7 +340,7 @@ def suite_theory(grid_scale=1):
     gap1 = 0.0
     for beta in (1, 2):
         tau = ComplexTime.from_polar(x1, 0.0)
-        full = dsff_theory(tau, n1, kappa4=0.0, beta=beta, grid=grid).k_total
+        full = dsff_theory(tau, n1, kappa4=0.0, beta=beta).k_total
         simp = dsff_simplified(tau, n1, beta=beta)
         gap1 = max(gap1, abs(full - simp) / simp)
     checks.append(_check("simplified_tracks_full_5pct", gap1, 0.05, "|tau|=12, N=1e6, both beta"))
@@ -413,7 +411,7 @@ def _random_spectrum(rng, n):
     return r * np.exp(1j * ang)
 
 
-def suite_estimator(grid_scale=1):
+def suite_estimator():
     checks = []
     rng = np.random.default_rng(777)
 
@@ -531,7 +529,7 @@ SUITES = {
 }
 
 
-def run_suites(names=None, grid_scale=1):
+def run_suites(names=None):
     """Run the named suites (all by default); returns a JSON-ready report."""
     if names is None:
         names = list(SUITES)
@@ -539,7 +537,7 @@ def run_suites(names=None, grid_scale=1):
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r} (have {sorted(SUITES)})")
-        checks = SUITES[name](grid_scale=grid_scale)
+        checks = SUITES[name]()
         report["suites"][name] = [asdict(c) for c in checks]
         if not all(c.passed for c in checks):
             report["all_passed"] = False

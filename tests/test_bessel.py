@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dsff_lab.bessel import (
-    DEFAULT_POLICY,
-    BesselPolicy,
+    MAX_ORDER,
     bessel_j,
     bessel_j_row,
     weighted_bessel_series,
@@ -110,19 +109,11 @@ def test_argument_validation():
 
 def test_order_cap():
     with pytest.raises(ValueError, match="max_order"):
-        bessel_j(DEFAULT_POLICY.max_order + 1, 1.0)
-    tight = BesselPolicy(max_order=10)
+        bessel_j(MAX_ORDER + 1, 1.0)
     with pytest.raises(ValueError, match="max_order"):
-        weighted_bessel_series(30.0, "abs_k", policy=tight)
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        BesselPolicy(series_threshold=-1.0)
-    with pytest.raises(ValueError):
-        BesselPolicy(tail_tolerance=2.0)
-    with pytest.raises(ValueError):
-        BesselPolicy(max_order=0)
+        bessel_j_row(MAX_ORDER + 1, 1.0)
+    with pytest.raises(ValueError, match="max_order"):
+        weighted_bessel_series(MAX_ORDER / 2 + 1, "abs_k")
 
 
 def test_high_order_underflow():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def _run_pipeline(tmp_path, n=16, m=12, seed=5, points=10):
 
 def _read_rows(path):
     header, rows = None, []
-    for line in open(path):
+    for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -59,12 +60,12 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     assert header == ["theta", "abs_tau", "t", "s", "k_mean", "k_stderr", "k_total", "z"]
     assert len(rows) == 10
     assert all(math.isfinite(float(r["z"])) for r in rows)
-    assert "<svg" in open(svg).read()
+    assert "<svg" in Path(svg).read_text()
 
 
 def test_csv_schema_and_config(tmp_path):
     _, est_csv, thy_csv = _run_pipeline(tmp_path)
-    lines = open(est_csv).read().splitlines()
+    lines = Path(est_csv).read_text().splitlines()
     assert lines[0] == "# dsff-lab v1"
     assert lines[1].startswith("# config: ")
     config = json.loads(lines[1][len("# config: "):])
@@ -79,7 +80,7 @@ def test_csv_schema_and_config(tmp_path):
     assert float(first[1]) == 0.3
     assert first[-2:] == ["12", "16"]
 
-    tlines = open(thy_csv).read().splitlines()
+    tlines = Path(thy_csv).read_text().splitlines()
     tconfig = json.loads(tlines[1][len("# config: "):])
     assert tconfig["command"] == "theory"
     assert tlines[2].split(",")[:7] == [
@@ -94,7 +95,7 @@ def test_estimate_is_byte_deterministic(tmp_path):
         "estimate", "--spectra", cache, "--tau-min", "0.3", "--tau-max", "10",
         "--points", "10", "--out", again,
     ]) == 0
-    assert open(est_csv).read() == open(again).read()
+    assert Path(est_csv).read_bytes() == Path(again).read_bytes()
 
 
 def test_sample_echoes_seed(tmp_path, capsys):
@@ -115,6 +116,20 @@ def test_sample_summary_goes_to_stderr(tmp_path, capsys):
     reference = tmp_path / "reference.bin"
     save_spectra(sample_spectra(EnsembleSpec("complex", "gaussian", 8), 3, 99), str(reference))
     assert cache.read_bytes() == reference.read_bytes()
+
+    # estimate: the CSV alone on stdout, the throughput line last on stderr
+    assert main(["estimate", "--spectra", str(cache), "--points", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("# dsff-lab v1\n")
+    assert "estimated" not in captured.out
+    summary = captured.err.splitlines()[-1].split()
+    assert summary[:2] == ["estimated", "points=4"]
+    assert summary[2].startswith("seconds=")
+    assert summary[3].startswith("points_per_s=")
+    est_csv = tmp_path / "e.csv"
+    assert main(["estimate", "--spectra", str(cache), "--points", "4", "--out", str(est_csv)]) == 0
+    assert capsys.readouterr().out == ""
+    assert est_csv.read_text() == captured.out
 
 
 def test_pool_workers_match_single_thread_serial_bytes(tmp_path):
@@ -198,13 +213,13 @@ def test_compare_subtract_disconnected(tmp_path):
         "compare", "--estimate", est_csv, "--theory", thy_csv,
         "--svg", svg, "--subtract-disconnected", "--out", str(tmp_path / "m.csv"),
     ]) == 0
-    assert "connected" in open(svg).read()
+    assert "connected" in Path(svg).read_text()
 
 
 def test_verify_subcommand(tmp_path, capsys):
     report_path = str(tmp_path / "report.json")
     assert main(["verify", "--suite", "bessel", "--out", report_path]) == 0
-    report = json.loads(open(report_path).read())
+    report = json.loads(Path(report_path).read_text())
     assert report["all_passed"] is True
     assert set(report["suites"]) == {"bessel"}
     assert all(c["passed"] for c in report["suites"]["bessel"])
@@ -235,7 +250,7 @@ def _fail_eigensolver(monkeypatch):
 
 def _fail_verification(monkeypatch):
     report = {"all_passed": False, "suites": {"bessel": [{"name": "probe", "passed": False}]}}
-    monkeypatch.setattr(cli, "run_suites", lambda names, grid_scale: report)
+    monkeypatch.setattr(cli, "run_suites", lambda names: report)
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +258,7 @@ def exit_files(tmp_path_factory):
     """A valid pipeline's files plus malformed variants of its estimate CSV."""
     tmp = tmp_path_factory.mktemp("exit-codes")
     cache, est_csv, thy_csv = _run_pipeline(tmp)
-    lines = open(est_csv).read().splitlines()
+    lines = Path(est_csv).read_text().splitlines()
     fields = lines[3].split(",")
     fields[4] = "abc"
     malformed = {
@@ -255,11 +270,15 @@ def exit_files(tmp_path_factory):
     files = {"cache": cache, "est": est_csv, "thy": thy_csv, "dir": str(tmp)}
     for name, body in malformed.items():
         files[name] = str(tmp / f"{name}.csv")
-        open(files[name], "w").write("\n".join(body) + "\n")
+        Path(files[name]).write_text("\n".join(body) + "\n")
     files["binary"] = str(tmp / "binary.csv")
-    open(files["binary"], "wb").write(b"\xff\xfe\x00 not text\n")
+    Path(files["binary"]).write_bytes(b"\xff\xfe\x00 not text\n")
     files["bad_cache"] = str(tmp / "bad.bin")
-    open(files["bad_cache"], "wb").write(b"garbage")
+    Path(files["bad_cache"]).write_bytes(b"garbage")
+    # the last eigenvalue of a valid cache replaced by NaN
+    files["nan_cache"] = str(tmp / "nan.bin")
+    blob = Path(cache).read_bytes()
+    Path(files["nan_cache"]).write_bytes(blob[:-16] + np.array([np.nan], dtype="<c16").tobytes())
     return files
 
 
@@ -282,6 +301,7 @@ EXIT_CASES = [
      "phase limit 1e+08"),
     ("missing-cache", "estimate --spectra {dir}/nope.bin", 3, None, "error:"),
     ("corrupt-cache", "estimate --spectra {bad_cache}", 3, None, "error:"),
+    ("nan-cache", "estimate --spectra {nan_cache}", 3, None, "non-finite"),
     ("ragged-row", "compare --estimate {ragged} --theory {thy}", 3, None, "fields"),
     ("non-numeric-field", "compare --estimate {non_numeric} --theory {thy}", 3, None, "abc"),
     ("no-header", "compare --estimate {no_header} --theory {thy}", 3, None, "no header"),

@@ -8,6 +8,7 @@ from dsff_lab.ensembles import EnsembleSpec, MatrixSample
 from dsff_lab.spectra import (
     CacheHeaderError,
     CacheLengthError,
+    CachePayloadError,
     CacheVersionError,
     EigensolverError,
     SpectraError,
@@ -164,28 +165,40 @@ def test_load_rejects_corrupt_header(tmp_path):
 
 
 def test_load_rejects_unknown_version(tmp_path):
-    path = str(tmp_path / "future.bin")
-    sset = sample_spectra(SPEC, 2, 5)
-    save_spectra(sset, path)
-    blob = open(path, "rb").read()
-    blob = blob.replace(b'"format_version":1', b'"format_version":2', 1)
-    open(path, "wb").write(blob)
+    path = tmp_path / "future.bin"
+    save_spectra(sample_spectra(SPEC, 2, 5), str(path))
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b'"format_version":1', b'"format_version":2', 1))
     with pytest.raises(CacheVersionError):
-        load_spectra(path)
+        load_spectra(str(path))
 
 
 def test_load_rejects_truncated_payload(tmp_path):
-    path = str(tmp_path / "short.bin")
-    sset = sample_spectra(SPEC, 2, 5)
-    save_spectra(sset, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-16])
+    path = tmp_path / "short.bin"
+    save_spectra(sample_spectra(SPEC, 2, 5), str(path))
+    path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(CacheLengthError):
-        load_spectra(path)
+        load_spectra(str(path))
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_load_rejects_non_finite_payload(tmp_path, bad):
+    path = tmp_path / "nan.bin"
+    save_spectra(sample_spectra(SPEC, 2, 5), str(path))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-16] + np.array([bad], dtype="<c16").tobytes())
+    with pytest.raises(CachePayloadError, match="non-finite"):
+        load_spectra(str(path))
 
 
 def test_error_hierarchy():
-    for cls in (CacheHeaderError, CacheVersionError, CacheLengthError, EigensolverError):
+    for cls in (
+        CacheHeaderError,
+        CacheVersionError,
+        CacheLengthError,
+        CachePayloadError,
+        EigensolverError,
+    ):
         assert issubclass(cls, SpectraError)
 
 
