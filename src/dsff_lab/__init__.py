@@ -8,13 +8,7 @@ estimator with contact/disconnected/connected decomposition, and a CLI
 """
 from .bessel import bessel_j, bessel_j_row, weighted_bessel_series
 from .ensembles import EnsembleSpec, MatrixSample, sample_matrix
-from .estimator import (
-    DsffEstimate,
-    build_tau_grid,
-    dsff_grid,
-    dsff_point,
-    linear_stat,
-)
+from .estimator import DsffEstimate, build_tau_grid, dsff_grid, dsff_point
 from .quadrature import (
     DiskGrid,
     boundary_average,
@@ -23,14 +17,7 @@ from .quadrature import (
     disk_integral,
     real_axis_correction_integral,
 )
-from .spectra import (
-    SpectrumSample,
-    SpectrumSet,
-    eigenvalues,
-    load_spectra,
-    sample_spectra,
-    save_spectra,
-)
+from .spectra import SpectrumSet, eigenvalues, load_spectra, sample_spectra, save_spectra
 from .theory import (
     ComplexTime,
     GinibreDsff,

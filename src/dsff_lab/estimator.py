@@ -25,7 +25,6 @@ from .theory import ComplexTime
 
 __all__ = [
     "DsffEstimate",
-    "linear_stat",
     "estimate_from_linear_stats",
     "dsff_point",
     "dsff_grid",
@@ -48,19 +47,6 @@ class DsffEstimate:
     def decomposition_available(self):
         """False for M = 1: variance-based fields are NaN there."""
         return self.m >= 2
-
-
-def _split_parts(eigs):
-    re = np.ascontiguousarray(eigs.real, dtype=np.float64)
-    im = np.ascontiguousarray(eigs.imag, dtype=np.float64)
-    return re, im
-
-
-def linear_stat(spectrum, tau):
-    """L = sum_j exp(i(t x_j + s y_j)) for a single spectrum; |L| <= N."""
-    eigs = np.asarray(spectrum.eigenvalues, dtype=np.complex128).reshape(1, -1)
-    re, im = _split_parts(eigs)
-    return complex(kernels.linear_stat_sums(re, im, tau.t, tau.s)[0])
 
 
 def estimate_from_linear_stats(stats, n, tau):
@@ -108,14 +94,13 @@ def estimate_from_linear_stats(stats, n, tau):
 
 def dsff_point(sset, tau):
     """DSFF estimate at one complex time from a SpectrumSet."""
-    re, im = _split_parts(sset.eigenvalues)
-    stats = kernels.linear_stat_sums(re, im, tau.t, tau.s)
-    return estimate_from_linear_stats(stats, sset.n, tau)
+    return dsff_grid(sset, [tau])[0]
 
 
 def dsff_grid(sset, taus):
     """DSFF estimates over a tau grid; one pass over the samples per point."""
-    re, im = _split_parts(sset.eigenvalues)
+    re = np.ascontiguousarray(sset.eigenvalues.real, dtype=np.float64)
+    im = np.ascontiguousarray(sset.eigenvalues.imag, dtype=np.float64)
     out = []
     for tau in taus:
         stats = kernels.linear_stat_sums(re, im, tau.t, tau.s)

@@ -2,7 +2,8 @@
 
 Cosine and sine sums of one real phase array need no complex (M, N)
 temporaries. numpy's pairwise reductions fix the summation order for fixed
-shapes, so results are byte-identical across runs and installs.
+shapes, so results are byte-identical across runs on one numpy build and
+SIMD dispatch level (numpy picks its cos/sin by CPU).
 """
 import numpy as np
 

@@ -9,6 +9,7 @@ off the real axis. The real-axis correction integral requires both.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,13 @@ class DiskGrid:
         return self.angular_weight * (self.radial_weights @ values.sum(axis=1))
 
 
-def disk_grid(radial_nodes=400, angular_nodes=512):
+@functools.cache
+def disk_grid(radial_nodes, angular_nodes):
+    """The radial_nodes x angular_nodes DiskGrid, built once per process.
+
+    Every caller asking for the same node counts gets the same object, so
+    its arrays are read-only.
+    """
     if radial_nodes < 1 or angular_nodes < 1:
         raise ValueError("node counts must be positive")
     nodes, weights = np.polynomial.legendre.leggauss(radial_nodes)
@@ -59,6 +66,8 @@ def disk_grid(radial_nodes=400, angular_nodes=512):
     theta = (np.arange(angular_nodes) + 0.5) * (2.0 * np.pi / angular_nodes)
     x = r[:, None] * np.cos(theta)[None, :]
     y = r[:, None] * np.sin(theta)[None, :]
+    for array in (r, theta, radial_weights, x, y):
+        array.flags.writeable = False
     return DiskGrid(
         radial_nodes=radial_nodes,
         angular_nodes=angular_nodes,

@@ -29,7 +29,6 @@ __all__ = [
     "CacheLengthError",
     "CachePayloadError",
     "EigensolverError",
-    "SpectrumSample",
     "SpectrumSet",
     "eigenvalues",
     "sample_spectra",
@@ -82,18 +81,23 @@ class EigensolverError(SpectraError):
 
 
 @dataclass(frozen=True)
-class SpectrumSample:
-    eigenvalues: np.ndarray  # (n,) complex128
-    sample_index: int
-
-
-@dataclass(frozen=True)
 class SpectrumSet:
-    """M sampled spectra of one ensemble, stored as an (M, N) complex array."""
+    """M sampled spectra of one ensemble, stored as an (M, N) complex array.
+
+    Row i holds the eigenvalues of sample i; this array is the only form a
+    spectrum takes in the package.
+    """
 
     spec: EnsembleSpec
     master_seed: int
     eigenvalues: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        shape = np.shape(self.eigenvalues)
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != self.spec.n:
+            raise ValueError(
+                f"eigenvalues must have shape (M >= 1, N={self.spec.n}), got {shape}"
+            )
 
     @property
     def m(self):
@@ -108,15 +112,9 @@ class SpectrumSet:
         """max |lambda| over every sampled eigenvalue."""
         return float(np.abs(self.eigenvalues).max())
 
-    def sample(self, i):
-        return SpectrumSample(eigenvalues=self.eigenvalues[i], sample_index=i)
-
-    def samples(self):
-        return (self.sample(i) for i in range(self.m))
-
 
 def eigenvalues(matrix):
-    """All eigenvalues of one MatrixSample (dense nonsymmetric solve).
+    """All eigenvalues of one MatrixSample as an (N,) complex128 array.
 
     Accuracy is that of the LAPACK Hessenberg-reduction + QR-iteration
     backward-stable algorithm; non-convergence surfaces as EigensolverError
@@ -133,10 +131,7 @@ def eigenvalues(matrix):
         eigs = np.linalg.eigvals(entries)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(matrix.sample_index, str(exc)) from exc
-    return SpectrumSample(
-        eigenvalues=eigs.astype(np.complex128, copy=False),
-        sample_index=matrix.sample_index,
-    )
+    return eigs.astype(np.complex128, copy=False)
 
 
 def _usable_cpus():
@@ -166,7 +161,7 @@ def _solve_range(spec, master_seed, start, stop):
     """Eigenvalues of samples start..stop-1 as a (stop-start, N) block."""
     block = np.empty((stop - start, spec.n), dtype=np.complex128)
     for i in range(start, stop):
-        block[i - start] = eigenvalues(sample_matrix(spec, master_seed, i)).eigenvalues
+        block[i - start] = eigenvalues(sample_matrix(spec, master_seed, i))
     return block
 
 
@@ -270,6 +265,8 @@ def load_spectra(path):
         raise CacheVersionError(
             f"{path}: format_version {version} unsupported (expected {FORMAT_VERSION})"
         )
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise CacheHeaderError(f"{path}: corrupt header (m must be a positive integer, got {m!r})")
     expected = 16 * m * spec.n
     actual = len(blob) - cut - 1
     if actual != expected:

@@ -14,7 +14,6 @@ correction needs one disk quadrature (real_axis_correction_integral).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -116,12 +115,6 @@ def _j1_2s_over_s(s):
     return bessel_j(1, 2.0 * s) / s
 
 
-@functools.cache
-def _real_axis_grid():
-    """The 400 x 512 disk grid of the beta=1 real-axis correction, built once."""
-    return disk_grid(400, 512)
-
-
 def _validate_beta(beta):
     if beta not in (1, 2):
         raise ValueError(f"beta must be 1 (real) or 2 (complex), got {beta!r}")
@@ -139,7 +132,7 @@ def _expectation_terms(tau, n, kappa4, beta):
     }
     if beta == 1:
         corr = (
-            real_axis_correction_integral(tau.t, tau.s, _real_axis_grid())
+            real_axis_correction_integral(tau.t, tau.s, disk_grid(400, 512))
             - bessel_j(0, x)
             + bessel_j(0, abs(tau.t)) / 2.0
             + math.cos(tau.t) / 2.0

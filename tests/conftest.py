@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from dsff_lab.ensembles import EnsembleSpec
-from dsff_lab.spectra import load_spectra, sample_spectra, save_spectra
+from dsff_lab.spectra import _usable_cpus, load_spectra, sample_spectra, save_spectra
 
 CACHE_DIR = Path(__file__).resolve().parent / ".cache"
 
@@ -26,7 +26,8 @@ def cached_spectra(field, distribution, n, m, master_seed):
     if path.exists():
         return load_spectra(str(path))
     CACHE_DIR.mkdir(exist_ok=True)
-    sset = sample_spectra(spec, m, master_seed)
+    # on more than one usable CPU, a pool with one BLAS thread per worker solves it
+    sset = sample_spectra(spec, m, master_seed, parallelism=_usable_cpus())
     save_spectra(sset, str(path))
     return load_spectra(str(path))
 

@@ -279,6 +279,13 @@ def exit_files(tmp_path_factory):
     files["nan_cache"] = str(tmp / "nan.bin")
     blob = Path(cache).read_bytes()
     Path(files["nan_cache"]).write_bytes(blob[:-16] + np.array([np.nan], dtype="<c16").tobytes())
+    # headers whose m is not a positive int, each over a payload of the length
+    # that m would give (the pipeline's cache has M=12, N=16)
+    header, payload = blob.split(b"\n", 1)
+    for name, m, rows in (("m_zero", "0", 0), ("m_float", "2.0", 2), ("m_bool", "true", 1)):
+        files[name] = str(tmp / f"{name}.bin")
+        head = header.replace(b'"m":12', f'"m":{m}'.encode())
+        Path(files[name]).write_bytes(head + b"\n" + payload[: rows * 16 * 16])
     return files
 
 
@@ -302,6 +309,9 @@ EXIT_CASES = [
     ("missing-cache", "estimate --spectra {dir}/nope.bin", 3, None, "error:"),
     ("corrupt-cache", "estimate --spectra {bad_cache}", 3, None, "error:"),
     ("nan-cache", "estimate --spectra {nan_cache}", 3, None, "non-finite"),
+    ("zero-m-cache", "estimate --spectra {m_zero}", 3, None, "positive integer"),
+    ("float-m-cache", "estimate --spectra {m_float}", 3, None, "positive integer"),
+    ("bool-m-cache", "estimate --spectra {m_bool}", 3, None, "positive integer"),
     ("ragged-row", "compare --estimate {ragged} --theory {thy}", 3, None, "fields"),
     ("non-numeric-field", "compare --estimate {non_numeric} --theory {thy}", 3, None, "abc"),
     ("no-header", "compare --estimate {no_header} --theory {thy}", 3, None, "no header"),

@@ -9,7 +9,6 @@ from dsff_lab.estimator import (
     dsff_grid,
     dsff_point,
     estimate_from_linear_stats,
-    linear_stat,
 )
 from dsff_lab.spectra import SpectrumSet
 from dsff_lab.theory import ComplexTime
@@ -28,15 +27,6 @@ def _sset(eigs, field="complex"):
         master_seed=0,
         eigenvalues=eigs,
     )
-
-
-def test_linear_stat_matches_direct_sum():
-    eigs = _disk_spectra(1, 30, 1)[0]
-    tau = ComplexTime(1.3, -0.6)
-    sset = _sset(eigs.reshape(1, -1))
-    val = linear_stat(sset.sample(0), tau)
-    want = complex(np.sum(np.exp(1j * (tau.t * eigs.real + tau.s * eigs.imag))))
-    assert abs(val - want) < 1e-12 * 30
 
 
 def test_k_mean_matches_double_sum():

@@ -51,6 +51,13 @@ def test_node_symmetry(grid):
     assert np.min(np.abs(np.sin(th))) > 1e-3
 
 
+def test_disk_grid_is_shared_and_read_only(grid):
+    assert disk_grid(400, 512) is grid
+    for name in ("x", "y", "radial_weights"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid, name)[0] = 0.0
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         disk_grid(0, 8)

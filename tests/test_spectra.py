@@ -12,6 +12,7 @@ from dsff_lab.spectra import (
     CacheVersionError,
     EigensolverError,
     SpectraError,
+    SpectrumSet,
     _chunk_plan,
     eigenvalues,
     load_spectra,
@@ -25,9 +26,9 @@ SPEC = EnsembleSpec(field="complex", distribution="gaussian", n=16)
 
 def test_eigenvalues_of_diagonal_matrix():
     diag = np.array([1.0 + 2.0j, -0.5, 3.0j])
-    sample = eigenvalues(MatrixSample(entries=np.diag(diag), master_seed=0, sample_index=4))
-    assert sample.sample_index == 4
-    assert np.allclose(np.sort_complex(sample.eigenvalues), np.sort_complex(diag))
+    eigs = eigenvalues(MatrixSample(entries=np.diag(diag), master_seed=0, sample_index=4))
+    assert eigs.shape == (3,) and eigs.dtype == np.complex128
+    assert np.allclose(np.sort_complex(eigs), np.sort_complex(diag))
 
 
 def test_eigenvalues_input_validation():
@@ -88,12 +89,12 @@ def test_solver_processes():
     assert 1 <= solver_processes(2, 10**6) <= 2
 
 
-def test_sample_views():
-    sset = sample_spectra(SPEC, 3, 9)
-    third = sset.sample(2)
-    assert third.sample_index == 2
-    assert np.array_equal(third.eigenvalues, sset.eigenvalues[2])
-    assert [s.sample_index for s in sset.samples()] == [0, 1, 2]
+def test_spectrum_set_shape_must_match_spec():
+    spec = EnsembleSpec(field="complex", distribution="gaussian", n=30)
+    for bad in (np.zeros((8, 40), complex), np.zeros(30, complex), np.zeros((0, 30), complex)):
+        with pytest.raises(ValueError, match="shape"):
+            SpectrumSet(spec=spec, master_seed=0, eigenvalues=bad)
+    assert SpectrumSet(spec=spec, master_seed=0, eigenvalues=np.zeros((8, 30), complex)).n == 30
 
 
 def test_sample_spectra_validation():
