@@ -8,6 +8,9 @@ sum_k w(k) J_k(x)^2 over all integer k. Two evaluation routes are used:
 * Miller-style downward recurrence for large ones, normalized with the
   even-order sum rule J_0(x) + 2 sum_{k>=1} J_2k(x) = 1.
 
+`bessel_j_table` runs the recurrence alone, for many arguments at once; the
+estimator's ray route contracts its columns with Chebyshev moments.
+
 Negative orders go through the reflection J_{-n} = (-1)^n J_n.
 """
 from __future__ import annotations
@@ -22,6 +25,8 @@ __all__ = [
     "MAX_ORDER",
     "bessel_j",
     "bessel_j_row",
+    "bessel_j_table",
+    "TABLE_MIN_ARGUMENT",
     "weighted_bessel_series",
 ]
 
@@ -38,6 +43,9 @@ MAX_ORDER = 20000
 # ~3 x^(1/3) + 22 orders of headroom enough for full double precision.
 _MILLER_PAD = 22
 _RESCALE_LIMIT = 1e250
+# Smallest positive argument bessel_j_table takes: one recurrence step
+# multiplies by up to 2 k / x, and that times _RESCALE_LIMIT must stay finite.
+TABLE_MIN_ARGUMENT = 1e-50
 
 
 def _validate_argument(x):
@@ -67,8 +75,8 @@ def _series_jn(n, x):
     return total
 
 
-def _row_miller(n_max, x):
-    """J_0..J_n_max by downward recurrence, normalized by the even-sum rule."""
+def _miller_start(n_max, x):
+    """Even starting order of the downward recurrence for J_0..J_n_max(x)."""
     start = max(n_max, math.ceil(x)) + int(3.0 * x ** (1.0 / 3.0)) + _MILLER_PAD
     start += start % 2  # even start keeps the normalization bookkeeping simple
     if start > MAX_ORDER + _MILLER_PAD + 2:
@@ -76,6 +84,12 @@ def _row_miller(n_max, x):
             f"order {n_max} at argument {x} needs recurrence depth {start} "
             f"beyond max_order={MAX_ORDER}"
         )
+    return start
+
+
+def _row_miller(n_max, x):
+    """J_0..J_n_max by downward recurrence, normalized by the even-sum rule."""
+    start = _miller_start(n_max, x)
     row = np.zeros(n_max + 1)
     jp = 0.0  # J_{k+1} (unnormalized)
     jc = 1e-30  # J_k at k = start
@@ -116,7 +130,12 @@ def bessel_j(n, x):
 
 
 def bessel_j_row(n_max, x):
-    """Array [J_0(x), J_1(x), ..., J_n_max(x)] sharing one recurrence pass."""
+    """Array [J_0(x), J_1(x), ..., J_n_max(x)] sharing one recurrence pass.
+
+    Below SERIES_THRESHOLD each entry comes from the power series, whose
+    alternating terms cancel: it loses up to about 5e-13 absolute near the
+    threshold. Above it the recurrence is good to a few 1e-16.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     x = _validate_argument(x)
@@ -125,6 +144,55 @@ def bessel_j_row(n_max, x):
     if x < SERIES_THRESHOLD:
         return np.array([_series_jn(n, x) for n in range(n_max + 1)])
     return _row_miller(n_max, x)
+
+
+def bessel_j_table(n_max, xs):
+    """Array J[k, p] = J_k(xs[p]) for 0 <= k <= n_max, shape (n_max + 1, len(xs)).
+
+    One downward recurrence serves every argument: it starts above n_max and
+    the largest x, and each column is normalized by the even-sum rule. No
+    argument goes through the power series, so there is no cancellation: the
+    columns agree with 30-digit values to a few 1e-16 absolute for x <= 500.
+    x = 0 gives the exact column [1, 0, ..., 0]; positive arguments must be at
+    least TABLE_MIN_ARGUMENT.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if n_max > MAX_ORDER:
+        raise ValueError(f"order {n_max} exceeds max_order={MAX_ORDER}")
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 1 or not np.isfinite(xs).all() or (xs < 0).any():
+        raise ValueError("arguments must be a 1-D array of finite nonnegative reals")
+    pos = np.flatnonzero(xs)
+    if pos.size and xs[pos].min() < TABLE_MIN_ARGUMENT:
+        raise ValueError(f"positive arguments must be at least {TABLE_MIN_ARGUMENT:g}")
+    table = np.zeros((n_max + 1, xs.size))
+    table[0, xs == 0.0] = 1.0
+    if pos.size == 0:
+        return table
+    x = xs[pos]
+    rows = np.zeros((n_max + 1, x.size))
+    jp = np.zeros(x.size)  # J_{k+1} (unnormalized)
+    jc = np.full(x.size, 1e-30)  # J_k at k = start
+    norm = np.zeros(x.size)
+    for k in range(_miller_start(n_max, float(x.max())), 0, -1):
+        jm = (2.0 * k / x) * jc - jp
+        jp, jc = jc, jm
+        km = k - 1
+        if km <= n_max:
+            rows[km] = jc
+        if km > 0 and km % 2 == 0:
+            norm += 2.0 * jc
+        big = np.abs(jc) > _RESCALE_LIMIT
+        if big.any():
+            scale = np.where(big, 1e-250, 1.0)
+            jc *= scale
+            jp *= scale
+            norm *= scale
+            rows *= scale
+    norm += jc  # jc now holds unnormalized J_0
+    table[:, pos] = rows / norm
+    return table
 
 
 def _weight_values(weight, k, phi):

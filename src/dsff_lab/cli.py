@@ -15,7 +15,7 @@ Exit codes: 0 success, 1 eigensolver failure or failed verification,
 2 bad arguments (including an `estimate` grid whose tau_max * rho exceeds
 MAX_PHASE), 3 cache or file trouble (including grid mismatch and non-finite
 cache payloads). Run diagnostics (sampling and estimation throughput,
-spectral radius) go to stderr only.
+spectral radius, the estimator's route) go to stderr only.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import time
 
 from . import SCHEMA, __version__
 from .ensembles import DISTRIBUTIONS, FIELDS, EnsembleSpec
-from .estimator import build_tau_grid, dsff_grid
+from .estimator import build_tau_grid, dsff_grid, ray_order
 from .spectra import (
     EigensolverError,
     SpectraError,
@@ -229,9 +229,11 @@ def _cmd_estimate(args):
         for est in estimates
     ]
     _write_text(args.out, _csv_text(config, ESTIMATE_COLUMNS, rows))
+    order = ray_order(sset, taus)
+    route = "route=pointwise" if order is None else f"route=ray order={order}"
     print(
         f"estimated points={len(estimates)} seconds={elapsed:.3f} "
-        f"points_per_s={len(estimates) / elapsed:.4g}",
+        f"points_per_s={len(estimates) / elapsed:.4g} {route}",
         file=sys.stderr,
     )
     return 0

@@ -12,6 +12,11 @@ otherwise drown the N^2-suppressed connected ramp. The three pieces satisfy
 k_mean = disconnected_unbiased + connected exactly (not just in expectation).
 The contact diagonal 1/N is part of k_mean; it is reported separately only
 for display.
+
+The L values come from one of two kernels. A grid whose points lie on one ray
+goes through the Chebyshev-moment route `kernels.ray_linear_stat_sums` when
+`ray_order` finds it cheaper; every other grid, `dsff_point` included, goes
+point by point through `kernels.linear_stat_sums`.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .bessel import MAX_ORDER, TABLE_MIN_ARGUMENT
 from .theory import ComplexTime
 
 __all__ = [
@@ -28,8 +34,23 @@ __all__ = [
     "estimate_from_linear_stats",
     "dsff_point",
     "dsff_grid",
+    "ray_order",
     "build_tau_grid",
 ]
+
+# Largest |sin| of the angle between a grid point and the ray through the
+# farthest point that still counts as on the ray: a few rounding units, so
+# grids from build_tau_grid qualify at every theta.
+RAY_TOLERANCE = 8 * np.finfo(np.float64).eps
+
+# Cost rule of the ray route, in units of one Chebyshev step on one
+# eigenvalue, measured with one thread on AVX-512 x86-64 (numpy 2.4): a
+# pointwise phase term (one cos, one sin) costs about 20 such steps, one term
+# of the contraction a third of one, and each order costs a fixed Python-level
+# overhead of about 10,000 for the moment and Bessel loops together.
+POINT_COST = 20.0
+CONTRACT_COST = 1.0 / 3.0
+ORDER_OVERHEAD = 10_000.0
 
 
 @dataclass(frozen=True)
@@ -97,15 +118,76 @@ def dsff_point(sset, tau):
     return dsff_grid(sset, [tau])[0]
 
 
+def _chebyshev_order(x):
+    """Truncation order K of the Jacobi-Anger series at phases up to x radians.
+
+    The tail sum_{k>K} |J_k(x)| stays below 1e-19 for 0 <= x <= 20,000: past
+    the turning point k = x the terms fall super-exponentially over a width
+    of order x^(1/3), the scale weighted_bessel_series truncates on too.
+    """
+    return math.ceil(x) + math.ceil(12.5 * x ** (1.0 / 3.0)) + 10
+
+
+def _ray_plan(sset, taus):
+    """(direction, radii, rho, K) when the ray route should take this grid, else None.
+
+    It takes a grid of two or more points on one ray from the origin, with a
+    nonzero spectral radius, every positive r rho at least TABLE_MIN_ARGUMENT
+    and K at most MAX_ORDER, when the moment pass costs less than the
+    pointwise kernel and its tables ((K + 1) (M + P) moments and Bessel
+    values plus the 2 P M parts of L) hold no more floats than the four
+    (M, N) arrays its recurrence needs.
+    """
+    p, m, n = len(taus), sset.m, sset.n
+    if p < 2:
+        return None
+    radii = np.array([tau.abs_tau for tau in taus])
+    far = taus[int(radii.argmax())]
+    rho = sset.spectral_radius
+    if radii.max() == 0.0 or rho == 0.0:
+        return None
+    c, s = far.t / far.abs_tau, far.s / far.abs_tau
+    for tau, r in zip(taus, radii):
+        if abs(tau.t * s - tau.s * c) > RAY_TOLERANCE * r or tau.t * c + tau.s * s < 0.0:
+            return None
+    x = rho * radii
+    if x[x > 0.0].min() < TABLE_MIN_ARGUMENT:
+        return None
+    order = _chebyshev_order(float(x.max()))
+    if order > MAX_ORDER:
+        return None
+    ray_cost = (order + 1) * (m * n + CONTRACT_COST * m * p + ORDER_OVERHEAD)
+    if ray_cost >= POINT_COST * p * m * n:
+        return None
+    if (order + 1) * (m + p) + 2 * p * m > 4 * m * n:
+        return None
+    return (c, s), radii, rho, order
+
+
+def ray_order(sset, taus):
+    """Chebyshev order K if dsff_grid takes the ray route for this grid, else None."""
+    plan = _ray_plan(sset, list(taus))
+    return None if plan is None else plan[3]
+
+
 def dsff_grid(sset, taus):
-    """DSFF estimates over a tau grid; one pass over the samples per point."""
-    re = np.ascontiguousarray(sset.eigenvalues.real, dtype=np.float64)
-    im = np.ascontiguousarray(sset.eigenvalues.imag, dtype=np.float64)
-    out = []
-    for tau in taus:
-        stats = kernels.linear_stat_sums(re, im, tau.t, tau.s)
-        out.append(estimate_from_linear_stats(stats, sset.n, tau))
-    return out
+    """DSFF estimates over a tau grid.
+
+    A grid on one ray goes through kernels.ray_linear_stat_sums when
+    ray_order says so; any other grid through kernels.linear_stat_sums, one
+    pass over the samples per point.
+    """
+    taus = list(taus)
+    plan = _ray_plan(sset, taus)
+    if plan is None:
+        re = np.ascontiguousarray(sset.eigenvalues.real, dtype=np.float64)
+        im = np.ascontiguousarray(sset.eigenvalues.imag, dtype=np.float64)
+        stats = (kernels.linear_stat_sums(re, im, tau.t, tau.s) for tau in taus)
+    else:
+        re = np.asarray(sset.eigenvalues.real, dtype=np.float64)
+        im = np.asarray(sset.eigenvalues.imag, dtype=np.float64)
+        stats = kernels.ray_linear_stat_sums(re, im, *plan)
+    return [estimate_from_linear_stats(l, sset.n, tau) for l, tau in zip(stats, taus)]
 
 
 def build_tau_grid(theta, tau_min, tau_max, points, spacing="log"):

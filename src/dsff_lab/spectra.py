@@ -267,6 +267,10 @@ def load_spectra(path):
         )
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise CacheHeaderError(f"{path}: corrupt header (m must be a positive integer, got {m!r})")
+    if isinstance(master_seed, bool) or not isinstance(master_seed, int) or not 0 <= master_seed < 2**64:
+        raise CacheHeaderError(
+            f"{path}: corrupt header (master_seed must be an integer in [0, 2^64), got {master_seed!r})"
+        )
     expected = 16 * m * spec.n
     actual = len(blob) - cut - 1
     if actual != expected:

@@ -1,14 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from dsff_lab.bessel import (
     MAX_ORDER,
+    TABLE_MIN_ARGUMENT,
     bessel_j,
     bessel_j_row,
+    bessel_j_table,
     weighted_bessel_series,
 )
+from dsff_lab.estimator import _chebyshev_order
 
 # 30-digit arithmetic reference values, frozen; both evaluation routes are
 # covered (series below the threshold at 12, downward recurrence above)
@@ -113,6 +118,8 @@ def test_order_cap():
     with pytest.raises(ValueError, match="max_order"):
         bessel_j_row(MAX_ORDER + 1, 1.0)
     with pytest.raises(ValueError, match="max_order"):
+        bessel_j_table(MAX_ORDER + 1, [1.0])
+    with pytest.raises(ValueError, match="max_order"):
         weighted_bessel_series(MAX_ORDER / 2 + 1, "abs_k")
 
 
@@ -126,3 +133,61 @@ def test_even_sum_rule():
         row = bessel_j_row(math.ceil(x) + 40, x)
         total = row[0] + 2.0 * row[2::2].sum()
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_table_matches_scipy():
+    # scipy's jv is itself good to ~6e-16 up to x = 50 (checked against
+    # mpmath), so it is the oracle there
+    xs = np.concatenate([[1e-12, 1e-6, 1e-3], np.geomspace(0.01, 50.0, 60), [11.999999, 12.000001]])
+    n_max = _chebyshev_order(50.0)
+    table = bessel_j_table(n_max, xs)
+    assert table.shape == (n_max + 1, xs.size)
+    want = jv(np.arange(n_max + 1)[:, None], xs[None, :])
+    assert np.abs(table - want).max() <= 1e-15
+
+
+def test_table_matches_mpmath_at_large_argument():
+    # past x ~ 50 scipy's jv drifts (9e-15 at x = 500), so 30-digit values
+    # are the oracle up to x = 500
+    xs = [75.5, 233.0, 499.9]
+    n_max = _chebyshev_order(500.0)
+    table = bessel_j_table(n_max, xs)
+    with mpmath.workdps(30):
+        for p, x in enumerate(xs):
+            for k in range(0, n_max + 1, 9):
+                assert abs(table[k, p] - float(mpmath.besselj(k, x))) <= 1e-15
+
+
+def test_table_beats_series_near_threshold():
+    # the power series loses ~5e-13 to cancellation just below x = 12;
+    # the table's recurrence does not
+    x = 11.5
+    want = jv(np.arange(31), x)
+    assert np.abs(bessel_j_row(30, x) - want).max() > 1e-14
+    assert np.abs(bessel_j_table(30, [x])[:, 0] - want).max() <= 1e-15
+
+
+def test_table_zero_argument_column_is_exact():
+    table = bessel_j_table(6, [0.0, 2.0, 0.0])
+    assert table[:, 0].tolist() == [1.0, 0, 0, 0, 0, 0, 0]
+    assert table[:, 2].tolist() == [1.0, 0, 0, 0, 0, 0, 0]
+    assert table[1, 1] == pytest.approx(bessel_j(1, 2.0), rel=1e-14)
+
+
+def test_table_argument_validation():
+    for bad in ([-1.0], [math.nan], [math.inf], [[1.0]], [TABLE_MIN_ARGUMENT / 2]):
+        with pytest.raises(ValueError):
+            bessel_j_table(4, bad)
+    with pytest.raises(ValueError):
+        bessel_j_table(-1, [1.0])
+    assert bessel_j_table(4, [TABLE_MIN_ARGUMENT])[1, 0] == pytest.approx(TABLE_MIN_ARGUMENT / 2, rel=1e-14)
+
+
+def test_chebyshev_order_tail():
+    # the Jacobi-Anger series e^{ixu} = sum_k i^k J_k(x) T_k(u) cut at
+    # _chebyshev_order(x) drops less than 1e-19 per unit |T_k|
+    xs = [0.0, 1e-3, 0.1, 1.0, 5.0, 26.0, 100.0, 460.0, 2000.0, 9000.0]
+    for x in xs:
+        order = _chebyshev_order(x)
+        table = bessel_j_table(order + 60, [x])[:, 0]
+        assert 2.0 * np.abs(table[order + 1:]).sum() < 1e-19, x

@@ -11,7 +11,8 @@ import pytest
 from dsff_lab import cli
 from dsff_lab.cli import main
 from dsff_lab.ensembles import EnsembleSpec
-from dsff_lab.spectra import sample_spectra, save_spectra
+from dsff_lab.estimator import build_tau_grid, ray_order
+from dsff_lab.spectra import SpectrumSet, sample_spectra, save_spectra
 
 
 def _run_pipeline(tmp_path, n=16, m=12, seed=5, points=10):
@@ -126,10 +127,21 @@ def test_sample_summary_goes_to_stderr(tmp_path, capsys):
     assert summary[:2] == ["estimated", "points=4"]
     assert summary[2].startswith("seconds=")
     assert summary[3].startswith("points_per_s=")
+    assert summary[4:] == ["route=pointwise"]
     est_csv = tmp_path / "e.csv"
     assert main(["estimate", "--spectra", str(cache), "--points", "4", "--out", str(est_csv)]) == 0
     assert capsys.readouterr().out == ""
     assert est_csv.read_text() == captured.out
+
+    # a grid the moment route takes names its Chebyshev order
+    rng = np.random.default_rng(3)
+    eigs = np.sqrt(rng.uniform(0.0, 1.0, (40, 64))) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (40, 64)))
+    sset = SpectrumSet(spec=EnsembleSpec("complex", "gaussian", 64), master_seed=3, eigenvalues=eigs)
+    save_spectra(sset, str(cache))
+    assert main(["estimate", "--spectra", str(cache), "--points", "40", "--out", str(est_csv)]) == 0
+    summary = capsys.readouterr().err.splitlines()[-1].split()
+    taus = build_tau_grid(0.0, 0.1, 16.0, 40)  # the default grid at N=64
+    assert summary[4:] == ["route=ray", f"order={ray_order(sset, taus)}"]
 
 
 def test_pool_workers_match_single_thread_serial_bytes(tmp_path):
@@ -286,6 +298,13 @@ def exit_files(tmp_path_factory):
         files[name] = str(tmp / f"{name}.bin")
         head = header.replace(b'"m":12', f'"m":{m}'.encode())
         Path(files[name]).write_bytes(head + b"\n" + payload[: rows * 16 * 16])
+    # headers whose master_seed is not an integer in [0, 2^64)
+    for name, seed in (("seed_str", '"abc"'), ("seed_negative", "-5"), ("seed_float", "1.5"),
+                       ("seed_null", "null"), ("seed_bool", "true")):
+        files[name] = str(tmp / f"{name}.bin")
+        head = header.replace(b'"master_seed":5', f'"master_seed":{seed}'.encode())
+        assert head != header
+        Path(files[name]).write_bytes(head + b"\n" + payload)
     return files
 
 
@@ -312,6 +331,11 @@ EXIT_CASES = [
     ("zero-m-cache", "estimate --spectra {m_zero}", 3, None, "positive integer"),
     ("float-m-cache", "estimate --spectra {m_float}", 3, None, "positive integer"),
     ("bool-m-cache", "estimate --spectra {m_bool}", 3, None, "positive integer"),
+    ("string-seed-cache", "estimate --spectra {seed_str}", 3, None, "master_seed"),
+    ("negative-seed-cache", "estimate --spectra {seed_negative}", 3, None, "master_seed"),
+    ("float-seed-cache", "estimate --spectra {seed_float}", 3, None, "master_seed"),
+    ("null-seed-cache", "estimate --spectra {seed_null}", 3, None, "master_seed"),
+    ("bool-seed-cache", "estimate --spectra {seed_bool}", 3, None, "master_seed"),
     ("ragged-row", "compare --estimate {ragged} --theory {thy}", 3, None, "fields"),
     ("non-numeric-field", "compare --estimate {non_numeric} --theory {thy}", 3, None, "abc"),
     ("no-header", "compare --estimate {no_header} --theory {thy}", 3, None, "no header"),

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from dsff_lab import kernels
+from dsff_lab.bessel import MAX_ORDER
 from dsff_lab.ensembles import EnsembleSpec
 from dsff_lab.estimator import (
     build_tau_grid,
     dsff_grid,
     dsff_point,
     estimate_from_linear_stats,
+    ray_order,
 )
 from dsff_lab.spectra import SpectrumSet
 from dsff_lab.theory import ComplexTime
@@ -108,14 +111,84 @@ def test_repeat_call_is_bitwise_deterministic():
 
 
 def test_dsff_grid_matches_pointwise():
-    sset = _sset(_disk_spectra(5, 18, 9))
-    taus = build_tau_grid(0.3, 0.5, 8.0, 7, "log")
+    # a cross-route check: the grid takes the Chebyshev ray route, each
+    # dsff_point the cos/sin kernel
+    sset = _sset(_disk_spectra(40, 64, 9))
+    taus = build_tau_grid(0.3, 0.5, 8.0, 40, "log")
+    assert ray_order(sset, taus) is not None
     grid_ests = dsff_grid(sset, taus)
-    assert len(grid_ests) == 7
+    assert len(grid_ests) == 40
     for tau, est in zip(taus, grid_ests):
         single = dsff_point(sset, tau)
-        assert est.k_mean == single.k_mean
+        assert est.k_mean == pytest.approx(single.k_mean, rel=1e-12)
         assert est.tau == tau
+
+
+def test_ray_grid_from_zero_is_exact_there():
+    sset = _sset(_disk_spectra(40, 64, 10))
+    taus = build_tau_grid(math.pi / 4, 0.0, 12.0, 40, "linear")
+    assert ray_order(sset, taus) is not None
+    est = dsff_grid(sset, taus)[0]
+    assert est.tau.abs_tau == 0.0
+    assert est.k_mean == 1.0
+    assert est.k_stderr == 0.0
+    assert est.connected == 0.0
+    assert est.disconnected_unbiased == 1.0
+
+
+def test_ray_grid_is_bitwise_deterministic():
+    sset = _sset(_disk_spectra(40, 64, 11))
+    taus = build_tau_grid(1.1, 0.2, 10.0, 30, "log")
+    assert ray_order(sset, taus) is not None
+    first, again = dsff_grid(sset, taus), dsff_grid(sset, taus)
+    for a, b in zip(first, again):
+        assert (a.k_mean, a.k_stderr, a.connected, a.connected_stderr) == (
+            b.k_mean, b.k_stderr, b.connected, b.connected_stderr)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    pointwise = kernels.linear_stat_sums
+
+    def counted(*args):
+        calls.append(args[2:])
+        return pointwise(*args)
+
+    def refuse(*args):
+        raise AssertionError("ray route taken")
+
+    monkeypatch.setattr(kernels, "linear_stat_sums", counted)
+    monkeypatch.setattr(kernels, "ray_linear_stat_sums", refuse)
+    return calls
+
+
+def test_point_and_off_ray_grids_stay_pointwise(monkeypatch):
+    sset = _sset(_disk_spectra(40, 64, 12))
+    ray = build_tau_grid(0.4, 0.5, 8.0, 40, "log")
+    assert ray_order(sset, ray) is not None
+    calls = _count_kernel_calls(monkeypatch)
+    one = [ComplexTime(1.2, 0.7)]
+    off_ray = ray[:20] + build_tau_grid(0.9, 0.5, 8.0, 20, "log")
+    for taus in (one, off_ray):
+        assert ray_order(sset, taus) is None
+        calls.clear()
+        assert [e.tau for e in dsff_grid(sset, taus)] == taus
+        assert calls == [(tau.t, tau.s) for tau in taus]
+    dsff_point(sset, one[0])
+    assert calls[-1] == (1.2, 0.7)
+
+
+def test_ray_order_rejects_grids_outside_its_range():
+    sset = _sset(_disk_spectra(40, 64, 13))
+    rho = sset.spectral_radius
+    # a phase too small for the Bessel table, an order beyond MAX_ORDER
+    assert ray_order(sset, build_tau_grid(0.2, 1e-60, 8.0, 40, "log")) is None
+    assert ray_order(sset, build_tau_grid(0.2, 1.0, 2.0 * MAX_ORDER / rho, 40, "log")) is None
+    # opposite directions are two rays; all-zero spectra need no phases
+    assert ray_order(sset, build_tau_grid(0.2, 0.5, 8.0, 40) + [ComplexTime.from_polar(1.0, 0.2 + math.pi)]) is None
+    zero = _sset(np.zeros((40, 64), dtype=complex))
+    assert ray_order(zero, build_tau_grid(0.2, 0.5, 8.0, 40)) is None
+    assert [e.k_mean for e in dsff_grid(zero, build_tau_grid(0.2, 0.5, 8.0, 3))] == [1.0] * 3
 
 
 def test_build_tau_grid_log():

@@ -1,6 +1,14 @@
+import math
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
+import pytest
 
 from dsff_lab import kernels
+from dsff_lab.estimator import _chebyshev_order
 
 
 def _random_parts(m, n, seed):
@@ -42,3 +50,60 @@ def test_magnitude_bounded_by_n():
     re, im = _random_parts(6, 50, 4)
     out = kernels.linear_stat_sums(re, im, 3.7, 1.9)
     assert np.all(np.abs(out) <= 50.0 + 1e-9)
+
+
+def _ray_inputs(theta, x_max, points=40, m=8, n=40, seed=5):
+    re, im = _random_parts(m, n, seed)
+    rho = float(np.hypot(re, im).max())
+    radii = np.geomspace(0.1 / rho, x_max / rho, points)
+    return re, im, (math.cos(theta), math.sin(theta)), radii, rho, _chebyshev_order(x_max)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2])
+def test_ray_route_matches_pointwise_kernel(theta):
+    re, im, (c, s), radii, rho, order = _ray_inputs(theta, 500.0)
+    got = kernels.ray_linear_stat_sums(re, im, (c, s), radii, rho, order)
+    assert got.shape == (radii.size, re.shape[0])
+    assert got.dtype == np.complex128
+    n2 = re.shape[1] ** 2
+    for row, r in zip(got, radii):
+        want = kernels.linear_stat_sums(re, im, r * c, r * s)
+        k_ray = float(np.mean(np.abs(row) ** 2)) / n2
+        k_point = float(np.mean(np.abs(want) ** 2)) / n2
+        assert k_ray == pytest.approx(k_point, rel=1e-12)
+
+
+def test_ray_route_is_bitwise_repeatable():
+    args = _ray_inputs(0.3, 40.0)
+    a = kernels.ray_linear_stat_sums(*args)
+    b = kernels.ray_linear_stat_sums(*args)
+    assert a.tobytes() == b.tobytes()
+
+
+_RAY_BYTES_SCRIPT = """
+import hashlib, math, sys
+import numpy as np
+from dsff_lab import kernels
+rng = np.random.default_rng(9)
+re, im = rng.standard_normal((64, 96)), rng.standard_normal((64, 96))
+rho = float(np.hypot(re, im).max())
+radii = np.geomspace(0.05, 30.0, 80)
+out = kernels.ray_linear_stat_sums(re, im, (math.cos(0.7), math.sin(0.7)), radii, rho, 140)
+sys.stdout.write(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_ray_route_bytes_ignore_blas():
+    # the contraction runs in einsum's own loops, so neither the BLAS thread
+    # count nor, on x86-64, OpenBLAS's kernel choice can change its rounding
+    # (a GEMM contraction gives other bytes under the SSE3-only Prescott core)
+    settings = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
+    if platform.machine() in ("x86_64", "AMD64"):
+        settings.append({"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Prescott"})
+    digests = set()
+    for setting in settings:
+        env = dict(os.environ, **setting)
+        done = subprocess.run([sys.executable, "-c", _RAY_BYTES_SCRIPT], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        digests.add(done.stdout)
+    assert len(digests) == 1
