@@ -1,15 +1,21 @@
-"""Quadrature rules on the unit disk, circle, and chord.
+"""Quadrature rules on the unit disk, circle, chord, and quarter circle.
 
 The disk rule is Gauss-Legendre in the radius (mapped to (0,1), Jacobian r
 included in the weights) times the equispaced periodic trapezoid rule in the
 angle. Angular nodes carry a half-step offset, theta_j = 2*pi*(j+1/2)/n: for
 periodic integrands the offset changes nothing, and with even n it makes the
 node set exactly symmetric under y -> -y and x -> -x while keeping every node
-off the real axis. The real-axis correction integral requires both.
+off the real axis. The disk route of the real-axis correction integral
+requires both.
+
+The line route of the same integral does the x integral in closed form and
+leaves one smooth angular integral on (0, pi/2), which a composite
+Gauss-Legendre rule of 96-node panels takes to rounding level.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +27,17 @@ __all__ = [
     "boundary_average",
     "chord_integral",
     "real_axis_correction_integral",
+    "quarter_circle_rule",
+    "real_axis_correction_line",
 ]
+
+# Nodes per panel of the line rule, and the largest |t| + |s| one panel
+# covering all of (0, pi/2) serves: there 96 nodes agree with 30-digit values
+# to about 1e-14 absolute. Larger |t| + |s| splits the interval into
+# ceil((|t| + |s|) / LINE_PANEL_PHASE) equal panels, so no panel sees more
+# oscillation than that.
+LINE_PANEL_NODES = 96
+LINE_PANEL_PHASE = 128.0
 
 
 @dataclass(frozen=True)
@@ -130,3 +146,46 @@ def real_axis_correction_integral(t, s, grid):
     u = s * grid.y
     integrand = np.cos(t * grid.x) * (s * s) * _one_minus_cos_over_sq(u)
     return float(grid.integrate_values(integrand)) / (4.0 * np.pi)
+
+
+@functools.cache
+def quarter_circle_rule(panels):
+    """(cos phi, sin phi, weights) of the composite Gauss-Legendre rule on (0, pi/2).
+
+    The interval is cut into `panels` equal panels of LINE_PANEL_NODES nodes
+    each. Built once per process per panel count, so the arrays are
+    read-only.
+    """
+    if panels < 1:
+        raise ValueError("panels must be positive")
+    nodes, weights = np.polynomial.legendre.leggauss(LINE_PANEL_NODES)
+    half_width = 0.25 * np.pi / panels
+    centers = (2 * np.arange(panels) + 1) * half_width
+    phi = (centers[:, None] + half_width * nodes[None, :]).ravel()
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    weights = np.tile(half_width * weights, panels)
+    for array in (cos_phi, sin_phi, weights):
+        array.flags.writeable = False
+    return cos_phi, sin_phi, weights
+
+
+def real_axis_correction_line(t, s):
+    """The real-axis correction integral by one angular integral.
+
+    Over the chord at height y the x integral of cos(t x) is
+    2 sin(t sqrt(1 - y^2))/t; with y = sin phi and the integrand even in phi,
+
+        I(t, s) = (1/pi) int_0^{pi/2} [sin(t cos phi)/t]
+                  (1 - cos(s sin phi))/sin^2 phi  cos phi dphi,
+
+    taken by quarter_circle_rule. sin(t c)/t = c np.sinc(t c/pi) and
+    (1 - cos u)/u^2 go through np.sinc, so t = 0 and s = 0 are exact, and
+    I is computed from |t| and |s|, which makes it bitwise even in both.
+    Equals real_axis_correction_integral(t, s, grid) up to the grid's error.
+    """
+    t, s = abs(t), abs(s)
+    panels = max(1, math.ceil((t + s) / LINE_PANEL_PHASE))
+    cos_phi, sin_phi, weights = quarter_circle_rule(panels)
+    chord = cos_phi * np.sinc(t * cos_phi / np.pi)
+    integrand = chord * (s * s) * _one_minus_cos_over_sq(s * sin_phi) * cos_phi
+    return float(np.sum(weights * integrand)) / np.pi

@@ -10,7 +10,7 @@ simplified large-tau form, and the exact asymptotic for the gaussian complex
 ensemble.
 
 All Bessel evaluations go through the bessel module; the beta=1 expectation
-correction needs one disk quadrature (real_axis_correction_integral).
+correction needs one angular quadrature (quadrature.real_axis_correction_line).
 """
 from __future__ import annotations
 
@@ -18,7 +18,11 @@ import math
 from dataclasses import dataclass
 
 from .bessel import bessel_j, weighted_bessel_series
-from .quadrature import disk_grid, real_axis_correction_integral
+from .quadrature import real_axis_correction_line
+
+# Unused here: perfbench/tracing.py wraps real_axis_correction_integral on
+# this module as well as on quadrature, and fails if the name is missing.
+from .quadrature import real_axis_correction_integral  # noqa: F401
 
 __all__ = [
     "ComplexTime",
@@ -132,7 +136,7 @@ def _expectation_terms(tau, n, kappa4, beta):
     }
     if beta == 1:
         corr = (
-            real_axis_correction_integral(tau.t, tau.s, disk_grid(400, 512))
+            real_axis_correction_line(tau.t, tau.s)
             - bessel_j(0, x)
             + bessel_j(0, abs(tau.t)) / 2.0
             + math.cos(tau.t) / 2.0
@@ -146,7 +150,8 @@ def expectation_linear_stat(tau, n, kappa4=0.0, beta=2):
 
     Real to the stated order for both symmetry classes; tau = 0 gives exactly
     N. The beta=1 branch adds the real-axis correction
-    I(t,s) - J_0(|tau|) + J_0(t)/2 + cos(t)/2, with I on a 400 x 512 disk grid.
+    I(t,s) - J_0(|tau|) + J_0(t)/2 + cos(t)/2, with I from the 1-D angular
+    Gauss-Legendre rule quadrature.real_axis_correction_line.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")

@@ -135,6 +135,28 @@ def suite_bessel():
 # ---------------------------------------------------------------------------
 
 
+def _plane_wave_deviations(grid):
+    """Largest errors of the disk integrals of f and (2r^2 - 1) f, f a plane wave.
+
+    One evaluation of f on the grid serves both integrals, weighted in place.
+    """
+    rng = np.random.default_rng(20250817)
+    radial_weight = 2.0 * (grid.x**2 + grid.y**2) - 1.0
+    dev_f = dev_w = 0.0
+    for _ in range(20):
+        x = rng.uniform(0.05, 20.0)
+        ang = rng.uniform(0.0, 2 * math.pi)
+        t, s = x * math.cos(ang), x * math.sin(ang)
+        wave = plane_wave(t, s)(grid.x, grid.y)
+        val = grid.integrate_values(wave)
+        dev_f = max(dev_f, abs(val - 2 * math.pi * bessel_j(1, x) / x))
+        wave *= radial_weight
+        val = grid.integrate_values(wave)
+        dev_w = max(dev_w, abs(val + 2 * math.pi * bessel_j(3, x) / x))
+        del wave  # before the next wave is built: one grid-sized array at a time
+    return dev_f, dev_w
+
+
 def suite_quadrature():
     checks = []
     grid = quadrature.disk_grid(400, 512)
@@ -144,18 +166,7 @@ def suite_quadrature():
         _check("weight_sum_pi", abs(grid.weight_sum - math.pi), 1e-12, "sum of weights = pi")
     )
 
-    rng = np.random.default_rng(20250817)
-    dev_f = dev_w = 0.0
-    for _ in range(20):
-        x = rng.uniform(0.05, 20.0)
-        ang = rng.uniform(0.0, 2 * math.pi)
-        t, s = x * math.cos(ang), x * math.sin(ang)
-        f = plane_wave(t, s)
-        val = quadrature.disk_integral(f, grid)
-        dev_f = max(dev_f, abs(val - 2 * math.pi * bessel_j(1, x) / x))
-        g = lambda xx, yy: f(xx, yy) * (2.0 * (xx**2 + yy**2) - 1.0)
-        val = quadrature.disk_integral(g, grid)
-        dev_w = max(dev_w, abs(val + 2 * math.pi * bessel_j(3, x) / x))
+    dev_f, dev_w = _plane_wave_deviations(grid)
     checks.append(_check("plane_wave_disk_integral", dev_f, 1e-8, "= 2 pi J_1/|tau|, 20 random tau"))
     checks.append(_check("radially_weighted_integral", dev_w, 1e-8, "= -2 pi J_3/|tau|"))
 
@@ -262,6 +273,15 @@ def suite_quadrature():
             1e-9,
             "even-part route equals full complex integrand",
         )
+    )
+
+    rng = np.random.default_rng(20261018)
+    dev = 0.0
+    for t, s in rng.uniform(-32.0, 32.0, (20, 2)):
+        line = quadrature.real_axis_correction_line(t, s)
+        dev = max(dev, abs(line - quadrature.real_axis_correction_integral(t, s, grid)))
+    checks.append(
+        _check("real_axis_line_vs_grid", dev, 1e-11, "1-D angular rule = disk grid, 20 random tau")
     )
 
     odd = quadrature.disk_grid(64, 129)
@@ -516,6 +536,24 @@ def suite_estimator():
     checks.append(
         _check("single_sample_flags_nan", 0.0 if ok else 1.0, 0.0, "M=1 withholds decomposition")
     )
+
+    rng = np.random.default_rng(64)
+    sset_r = SpectrumSet(
+        spec=EnsembleSpec(field="complex", distribution="gaussian", n=64),
+        master_seed=0,
+        eigenvalues=np.vstack([_random_spectrum(rng, 64) for _ in range(40)]),
+    )
+    taus = estimator.build_tau_grid(0.3, 0.5, 8.0, 40, "log")
+    order = estimator.ray_order(sset_r, taus)
+    if order is None:
+        dev, detail = math.inf, "ray route not taken"
+    else:
+        dev = max(
+            abs(est.k_mean - estimator.dsff_point(sset_r, tau).k_mean) / est.k_mean
+            for tau, est in zip(taus, estimator.dsff_grid(sset_r, taus))
+        )
+        detail = f"Chebyshev ray route (K={order}) vs cos/sin kernel, 40 points"
+    checks.append(_check("ray_route_matches_pointwise", dev, 1e-12, detail))
     return checks
 
 

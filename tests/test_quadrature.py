@@ -9,7 +9,9 @@ from dsff_lab.quadrature import (
     chord_integral,
     disk_grid,
     disk_integral,
+    quarter_circle_rule,
     real_axis_correction_integral,
+    real_axis_correction_line,
 )
 
 
@@ -130,3 +132,63 @@ def test_real_axis_rejects_odd_angular_count():
 def test_integrate_values_matches_disk_integral(grid):
     f = lambda x, y: np.cos(x) * np.exp(y)
     assert grid.integrate_values(f(grid.x, grid.y)) == disk_integral(f, grid)
+
+
+# I(t, s) to 30 digits: mpmath quadrature of the angular integral, split into
+# panels shorter than one oscillation. At every point it agrees with the
+# y-form (1/pi) int_0^1 sin(t sqrt(1-y^2))/t (1-cos(s y))/y^2 dy to 1e-20.
+# At (100, 100) the 400 x 512 disk grid is off by 5e-13; at (500, 10) and
+# (2000, 700) one 96-node panel would be off by 1e-4 and 4e-4.
+@pytest.mark.parametrize(
+    "t, s, want",
+    [
+        (1.0, 1.0, 0.1076591237294464376423106),
+        (32.0, 0.5, -0.00005175399763225120708161973),
+        (20.0, 25.0, 0.4882035972257338324173019),
+        (100.0, 100.0, -0.2635072900980198799405711),
+        (500.0, 10.0, 0.0004950188832107600811125698),
+        (2000.0, 700.0, 0.1591827437431134364084497),
+    ],
+)
+def test_real_axis_line_matches_mpmath(t, s, want):
+    assert real_axis_correction_line(t, s) == pytest.approx(want, abs=1e-13)
+
+
+def test_real_axis_line_vanishes_at_s_zero():
+    for t in (0.0, 2.7, 300.0):
+        assert real_axis_correction_line(t, 0.0) == 0.0
+
+
+def test_real_axis_line_small_s_limit():
+    # I(0, s) -> s^2/8 as s -> 0
+    for s in (1e-3, 1e-8):
+        assert real_axis_correction_line(0.0, s) == pytest.approx(s * s / 8.0, rel=1e-6)
+
+
+def test_real_axis_line_even_in_both_arguments():
+    for t, s in ((1.5, 0.7), (90.0, 60.0), (300.0, 2.0)):
+        base = real_axis_correction_line(t, s)
+        assert real_axis_correction_line(-t, s) == base
+        assert real_axis_correction_line(t, -s) == base
+        assert real_axis_correction_line(-t, -s) == base
+
+
+def test_quarter_circle_rule_is_shared_and_read_only():
+    rule = quarter_circle_rule(1)
+    assert quarter_circle_rule(1) is rule
+    for array in rule:
+        assert array.shape == (96,)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_quarter_circle_rule_panels():
+    for panels in (1, 3):
+        cos_phi, sin_phi, weights = quarter_circle_rule(panels)
+        assert cos_phi.shape == (96 * panels,)
+        assert weights.sum() == pytest.approx(math.pi / 2, abs=1e-14)
+        # int_0^{pi/2} cos^2 = pi/4
+        assert weights @ cos_phi**2 == pytest.approx(math.pi / 4, abs=1e-14)
+        assert np.all(np.diff(sin_phi) > 0.0)
+    with pytest.raises(ValueError):
+        quarter_circle_rule(0)

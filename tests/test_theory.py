@@ -44,6 +44,21 @@ def test_expectation_frozen_real_case():
     assert val == pytest.approx(34.205165059783371, rel=1e-12)
 
 
+def test_theory_does_not_touch_the_disk_grid(monkeypatch):
+    from dsff_lab import quadrature, theory
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("theory evaluated the disk grid")
+
+    for name in ("disk_grid", "real_axis_correction_integral"):
+        monkeypatch.setattr(quadrature, name, refuse)
+    monkeypatch.setattr(theory, "real_axis_correction_integral", refuse)
+    tau = ComplexTime(1.5, 0.7)
+    val = expectation_linear_stat(tau, 50, kappa4=-1.0, beta=1)
+    assert val == pytest.approx(34.205165059783371, rel=1e-12)
+    assert dsff_theory(tau, 50, kappa4=-1.0, beta=1).e_value * 50 == pytest.approx(val, rel=1e-15)
+
+
 def test_variance_frozen_values():
     v1 = variance_linear_stat(ComplexTime(1.5, 0.7), kappa4=-1.0, beta=1)
     assert v1 == pytest.approx(1.6718727015049752, rel=1e-12)
