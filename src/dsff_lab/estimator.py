@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .bessel import MAX_ORDER, TABLE_MIN_ARGUMENT
+from .bessel import MAX_ORDER, TABLE_MIN_ARGUMENT, truncation_order
 from .theory import ComplexTime
 
 __all__ = [
@@ -118,16 +118,6 @@ def dsff_point(sset, tau):
     return dsff_grid(sset, [tau])[0]
 
 
-def _chebyshev_order(x):
-    """Truncation order K of the Jacobi-Anger series at phases up to x radians.
-
-    The tail sum_{k>K} |J_k(x)| stays below 1e-19 for 0 <= x <= 20,000: past
-    the turning point k = x the terms fall super-exponentially over a width
-    of order x^(1/3), the scale weighted_bessel_series truncates on too.
-    """
-    return math.ceil(x) + math.ceil(12.5 * x ** (1.0 / 3.0)) + 10
-
-
 def _ray_plan(sset, taus):
     """(direction, radii, rho, K) when the ray route should take this grid, else None.
 
@@ -153,7 +143,7 @@ def _ray_plan(sset, taus):
     x = rho * radii
     if x[x > 0.0].min() < TABLE_MIN_ARGUMENT:
         return None
-    order = _chebyshev_order(float(x.max()))
+    order = truncation_order(float(x.max()))
     if order > MAX_ORDER:
         return None
     ray_cost = (order + 1) * (m * n + CONTRACT_COST * m * p + ORDER_OVERHEAD)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import bessel_j, weighted_bessel_series
+from .bessel import TABLE_MIN_ARGUMENT, bessel_j, weighted_bessel_series
 from .quadrature import real_axis_correction_line
 
 # Unused here: perfbench/tracing.py wraps real_axis_correction_integral on
@@ -90,33 +90,27 @@ def plane_wave(t, s):
 
 
 # ---------------------------------------------------------------------------
-# removable-singularity helpers: series below 1e-4, direct ratio above
-
-_SMALL = 1e-4
+# removable singularities: the exact limit at 0, the direct ratio elsewhere
 
 
 def _j1_over_x(x):
-    """J_1(x)/x with its limit 1/2 at x = 0."""
-    if x < _SMALL:
-        x2 = x * x
-        return 0.5 - x2 / 16.0 + x2 * x2 / 384.0
-    return bessel_j(1, x) / x
+    """J_1(x)/x with its limit 1/2 at x = 0.
+
+    Below TABLE_MIN_ARGUMENT the limit is the value in double precision, and
+    the quotient would lose it for a subnormal x, where J_1(x) = x/2 rounds.
+    """
+    return 0.5 if x < TABLE_MIN_ARGUMENT else bessel_j(1, x) / x
 
 
 def _j3_over_x(x):
     """J_3(x)/x with its limit 0 at x = 0."""
-    if x < _SMALL:
-        return x * x / 48.0
-    return bessel_j(3, x) / x
+    return 0.0 if x == 0.0 else bessel_j(3, x) / x
 
 
 def _j1_2s_over_s(s):
     """J_1(2s)/s with its limit 1 at s = 0 (even in s)."""
     s = abs(s)
-    if s < _SMALL:
-        s2 = s * s
-        return 1.0 - s2 / 2.0 + s2 * s2 / 12.0
-    return bessel_j(1, 2.0 * s) / s
+    return 1.0 if s == 0.0 else bessel_j(1, 2.0 * s) / s
 
 
 def _validate_beta(beta):

@@ -16,7 +16,7 @@ import numpy as np
 # dsff_point is looked up on its module at each call, so a wrapper installed
 # there (perfbench/tracing.py) also sees the calls made here
 from . import estimator, quadrature
-from .bessel import bessel_j, bessel_j_row, weighted_bessel_series
+from .bessel import bessel_j, bessel_j_row, truncation_order, weighted_bessel_series
 from .ensembles import EnsembleSpec
 from .estimator import estimate_from_linear_stats
 from .spectra import SpectrumSet
@@ -70,16 +70,14 @@ def suite_bessel():
 
     dev = 0.0
     for x in xs:
-        k_hi = math.ceil(x) + math.ceil(3 * x ** (1 / 3)) + 30
-        row = bessel_j_row(k_hi, x)
+        row = bessel_j_row(truncation_order(x), x)
         even_sum = row[0] + 2.0 * row[2::2].sum()
         dev = max(dev, abs(even_sum - 1.0))
     checks.append(_check("even_order_sum_rule", dev, 1e-10, "J_0 + 2 sum J_2k = 1"))
 
     dev = 0.0
     for x in xs:
-        k_hi = math.ceil(x) + math.ceil(3 * x ** (1 / 3)) + 30
-        row = bessel_j_row(k_hi, x)
+        row = bessel_j_row(truncation_order(x), x)
         sq = row[0] ** 2 + 2.0 * np.sum(row[1:] ** 2)
         dev = max(dev, abs(sq - 1.0))
     checks.append(_check("squared_sum_unity", dev, 1e-10, "sum_k J_k^2 = 1"))
@@ -100,10 +98,9 @@ def suite_bessel():
 
     dev = 0.0
     for x in (1.7, 6.0):
-        k_hi = math.ceil(x) + 40
-        row = bessel_j_row(k_hi, x)
+        row = bessel_j_row(truncation_order(x), x)
         for theta in (0.0, math.pi / 2, math.pi):
-            k = np.arange(1, k_hi + 1)
+            k = np.arange(1, row.size)
             total = row[0] ** 2 + 2.0 * np.sum(row[1:] ** 2 * np.cos(theta * k))
             target = bessel_j(0, x * math.sqrt(2.0 - 2.0 * math.cos(theta)))
             dev = max(dev, abs(total - target))

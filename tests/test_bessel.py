@@ -11,12 +11,12 @@ from dsff_lab.bessel import (
     bessel_j,
     bessel_j_row,
     bessel_j_table,
+    truncation_order,
     weighted_bessel_series,
 )
-from dsff_lab.estimator import _chebyshev_order
 
-# 30-digit arithmetic reference values, frozen; both evaluation routes are
-# covered (series below the threshold at 12, downward recurrence above)
+# 30-digit arithmetic reference values, frozen; small and large arguments,
+# orders below and above the turning point k = x
 REFERENCE = [
     (0, 0.5, 0.9384698072408129),
     (1, 0.5, 0.24226845767487389),
@@ -35,8 +35,7 @@ def test_reference_values():
 
 
 def test_route_crossover_continuity():
-    # the series route loses a few digits right at the switch point; the
-    # recurrence route does not
+    # one route serves both sides of x = 12, so J_2 has no seam there
     assert bessel_j(2, 11.999999) == pytest.approx(-0.084930285586532788, rel=1e-10)
     assert bessel_j(2, 12.000001) == pytest.approx(-0.08493070417057681, rel=1e-12)
 
@@ -79,6 +78,26 @@ def test_weighted_series_frozen():
     )
 
 
+# 30-digit values of sum_k w(k) J_k(x)^2 (phi = 0.7 as a double), frozen
+WEIGHTED_REFERENCE = [
+    (0.5, "abs_k", 0.1211740797843587),
+    (0.5, "k_squared", 0.125),
+    (0.5, "abs_k_sin_sq", 0.052385556761398323),
+    (5.0, "abs_k", 3.1803326282302389),
+    (5.0, "k_squared", 12.5),
+    (5.0, "abs_k_sin_sq", 1.1111155846046186),
+    (11.5, "abs_k", 7.3253685777326019),
+    (11.5, "k_squared", 66.125),
+    (11.5, "abs_k_sin_sq", 3.597289400274297),
+]
+
+
+@pytest.mark.parametrize("x, weight, want", WEIGHTED_REFERENCE)
+def test_weighted_series_matches_mpmath(x, weight, want):
+    phi = 0.7 if weight == "abs_k_sin_sq" else None
+    assert weighted_bessel_series(x, weight, phi=phi) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_weighted_series_closed_form():
     # sum_k k^2 J_k(x)^2 = x^2 / 2
     for x in (0.5, 7.0, 33.0):
@@ -119,8 +138,35 @@ def test_order_cap():
         bessel_j_row(MAX_ORDER + 1, 1.0)
     with pytest.raises(ValueError, match="max_order"):
         bessel_j_table(MAX_ORDER + 1, [1.0])
+    # truncation_order(x) passes MAX_ORDER a few hundred below x = MAX_ORDER
     with pytest.raises(ValueError, match="max_order"):
-        weighted_bessel_series(MAX_ORDER / 2 + 1, "abs_k")
+        weighted_bessel_series(float(MAX_ORDER), "abs_k")
+
+
+@pytest.mark.parametrize("order", [1.5, 2.0, True, False, None, "3"])
+def test_order_must_be_an_int(order):
+    # int() would turn J_1.5(2) into J_1(2) = 0.5767, not J_1.5(2) = 0.49
+    with pytest.raises(ValueError, match="order"):
+        bessel_j(order, 2.0)
+    with pytest.raises(ValueError, match="order"):
+        bessel_j_row(order, 2.0)
+    with pytest.raises(ValueError, match="order"):
+        bessel_j_table(order, [2.0])
+
+
+def test_small_argument_ratios_match_taylor():
+    # J_1(x)/x = 1/2 - x^2/16 + ... and J_3(x)/x = x^2/48 - x^4/768 + ...
+    for x in np.geomspace(1e-49, 1e-4, 200):
+        x = float(x)
+        assert bessel_j(1, x) / x == pytest.approx(0.5 - x * x / 16.0, rel=1e-15, abs=0.0)
+        assert bessel_j(3, x) / x == pytest.approx(x * x / 48.0 - x**4 / 768.0, rel=1e-15, abs=0.0)
+
+
+def test_below_table_min_argument_gives_the_leading_term():
+    x = TABLE_MIN_ARGUMENT / 4
+    want = [1.0, x / 2, (x / 2) ** 2 / 2, (x / 2) ** 3 / 6]
+    assert bessel_j_row(3, x).tolist() == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert bessel_j(-1, x) == -x / 2
 
 
 def test_high_order_underflow():
@@ -139,7 +185,7 @@ def test_table_matches_scipy():
     # scipy's jv is itself good to ~6e-16 up to x = 50 (checked against
     # mpmath), so it is the oracle there
     xs = np.concatenate([[1e-12, 1e-6, 1e-3], np.geomspace(0.01, 50.0, 60), [11.999999, 12.000001]])
-    n_max = _chebyshev_order(50.0)
+    n_max = truncation_order(50.0)
     table = bessel_j_table(n_max, xs)
     assert table.shape == (n_max + 1, xs.size)
     want = jv(np.arange(n_max + 1)[:, None], xs[None, :])
@@ -150,7 +196,7 @@ def test_table_matches_mpmath_at_large_argument():
     # past x ~ 50 scipy's jv drifts (9e-15 at x = 500), so 30-digit values
     # are the oracle up to x = 500
     xs = [75.5, 233.0, 499.9]
-    n_max = _chebyshev_order(500.0)
+    n_max = truncation_order(500.0)
     table = bessel_j_table(n_max, xs)
     with mpmath.workdps(30):
         for p, x in enumerate(xs):
@@ -158,12 +204,13 @@ def test_table_matches_mpmath_at_large_argument():
                 assert abs(table[k, p] - float(mpmath.besselj(k, x))) <= 1e-15
 
 
-def test_table_beats_series_near_threshold():
-    # the power series loses ~5e-13 to cancellation just below x = 12;
-    # the table's recurrence does not
+def test_row_and_scalar_match_scipy_below_12():
+    # near x = 12 the alternating power series would lose ~5e-13 to
+    # cancellation; the downward recurrence does not
     x = 11.5
     want = jv(np.arange(31), x)
-    assert np.abs(bessel_j_row(30, x) - want).max() > 1e-14
+    assert np.abs(bessel_j_row(30, x) - want).max() <= 1e-15
+    assert max(abs(bessel_j(n, x) - want[n]) for n in range(31)) <= 1e-15
     assert np.abs(bessel_j_table(30, [x])[:, 0] - want).max() <= 1e-15
 
 
@@ -185,9 +232,9 @@ def test_table_argument_validation():
 
 def test_chebyshev_order_tail():
     # the Jacobi-Anger series e^{ixu} = sum_k i^k J_k(x) T_k(u) cut at
-    # _chebyshev_order(x) drops less than 1e-19 per unit |T_k|
+    # truncation_order(x) drops less than 1e-19 per unit |T_k|
     xs = [0.0, 1e-3, 0.1, 1.0, 5.0, 26.0, 100.0, 460.0, 2000.0, 9000.0]
     for x in xs:
-        order = _chebyshev_order(x)
+        order = truncation_order(x)
         table = bessel_j_table(order + 60, [x])[:, 0]
         assert 2.0 * np.abs(table[order + 1:]).sum() < 1e-19, x

@@ -161,6 +161,16 @@ def test_pool_workers_match_single_thread_serial_bytes(tmp_path):
     assert caches[2].read_bytes() == caches[1].read_bytes()
 
 
+def test_cli_import_loads_numpy_only():
+    # scipy and mpmath are test oracles only, and the process pool's modules
+    # load when `sample --workers K` with K > 1 first needs them
+    probe = ("import sys, dsff_lab.cli; print(' '.join(m for m in ('scipy', 'mpmath', "
+             "'concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                          text=True, timeout=120)
+    assert done.stdout.split() == []
+
+
 def test_sample_draws_entropy_seed(tmp_path, capsys):
     cache = str(tmp_path / "s.bin")
     assert main(["sample", "--n", "8", "--m", "2", "--out", cache]) == 0
@@ -325,6 +335,8 @@ EXIT_CASES = [
     ("tau-min-above-max", "theory --n 8 --tau-min 5 --tau-max 1", 2, None, "error:"),
     ("tau-beyond-phase-precision", "estimate --spectra {cache} --tau-min 1e299 --tau-max 1e300", 2, None,
      "phase limit 1e+08"),
+    ("tau-beyond-bessel-range", "theory --n 256 --tau-min 25000 --tau-max 25000 --points 1", 2, None,
+     "max_order"),
     ("missing-cache", "estimate --spectra {dir}/nope.bin", 3, None, "error:"),
     ("corrupt-cache", "estimate --spectra {bad_cache}", 3, None, "error:"),
     ("nan-cache", "estimate --spectra {nan_cache}", 3, None, "non-finite"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dsff_lab import kernels
-from dsff_lab.estimator import _chebyshev_order
+from dsff_lab.bessel import truncation_order
 
 
 def _random_parts(m, n, seed):
@@ -56,7 +56,7 @@ def _ray_inputs(theta, x_max, points=40, m=8, n=40, seed=5):
     re, im = _random_parts(m, n, seed)
     rho = float(np.hypot(re, im).max())
     radii = np.geomspace(0.1 / rho, x_max / rho, points)
-    return re, im, (math.cos(theta), math.sin(theta)), radii, rho, _chebyshev_order(x_max)
+    return re, im, (math.cos(theta), math.sin(theta)), radii, rho, truncation_order(x_max)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2])

@@ -37,8 +37,8 @@ def test_complex_time_validation():
         ComplexTime.from_polar(-1.0, 0.0)
 
 
-# frozen against 30-digit arithmetic (series, Bessel, and disk-integral
-# evaluations all recomputed independently)
+# frozen against 30-digit arithmetic (Bessel values, weighted Bessel sums
+# and disk integrals all recomputed independently)
 def test_expectation_frozen_real_case():
     val = expectation_linear_stat(ComplexTime(1.5, 0.7), 50, kappa4=-1.0, beta=1)
     assert val == pytest.approx(34.205165059783371, rel=1e-12)
@@ -69,6 +69,18 @@ def test_variance_frozen_values():
 def test_dsff_theory_frozen_value():
     p = dsff_theory(ComplexTime(2.0, 1.0), 200, kappa4=-1.0, beta=2)
     assert p.k_total == pytest.approx(0.23956858304899218, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_theory_evaluates_at_large_tau(beta):
+    # inside the documented range, which ends at |tau| = 19,575 (and at
+    # |s| = 9,838 for beta 1)
+    p = dsff_theory(ComplexTime.from_polar(15_000.0, 0.3), 256, kappa4=-1.0, beta=beta)
+    assert math.isfinite(p.k_total)
+
+
+def test_j1_over_x_at_subnormal_argument():
+    assert dsff_theory(ComplexTime(5e-324, 0.0), 64).e_terms["leading"] == 1.0
 
 
 def test_expectation_at_origin_is_n():
