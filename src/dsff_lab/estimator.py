@@ -16,7 +16,13 @@ for display.
 The L values come from one of two kernels. A grid whose points lie on one ray
 goes through the Chebyshev-moment route `kernels.ray_linear_stat_sums` when
 `ray_order` finds it cheaper; every other grid, `dsff_point` included, goes
-point by point through `kernels.linear_stat_sums`.
+point by point through `kernels.linear_stat_sums`. The choice is a fixed
+cost rule in units of one Chebyshev step on one eigenvalue: the ray route
+pays K + 1 steps per eigenvalue plus a contraction and a fixed overhead per
+order, the pointwise route POINT_COST steps per eigenvalue and point (one
+tangent and its half-angle identity). Either way the statistics below are
+computed by whole-array numpy steps over cache-sized blocks of rows of the
+(points, M) array of L values.
 """
 from __future__ import annotations
 
@@ -44,11 +50,15 @@ __all__ = [
 RAY_TOLERANCE = 8 * np.finfo(np.float64).eps
 
 # Cost rule of the ray route, in units of one Chebyshev step on one
-# eigenvalue, measured with one thread on AVX-512 x86-64 (numpy 2.4): a
-# pointwise phase term (one cos, one sin) costs about 20 such steps, one term
-# of the contraction a third of one, and each order costs a fixed Python-level
-# overhead of about 10,000 for the moment and Bessel loops together.
-POINT_COST = 20.0
+# eigenvalue (about 1.5-2 ns), measured with one thread on AVX-512 x86-64
+# (numpy 2.4): a pointwise phase term (one tan and its half-angle identity)
+# costs 5-10 such steps, about 7 in the median, on M N = 2,560-256,000 (the
+# rule takes 6); one term of the contraction costs a third to a half of one,
+# and each order a fixed Python-level overhead of about 10,000 for the moment
+# and Bessel loops together. The rule leaves out the pointwise kernel's fixed
+# cost per call (about 20 us), so it leans to the pointwise route on grids of
+# a few thousand eigenvalues, where both routes take a few milliseconds.
+POINT_COST = 6.0
 CONTRACT_COST = 1.0 / 3.0
 ORDER_OVERHEAD = 10_000.0
 
@@ -74,43 +84,62 @@ def estimate_from_linear_stats(stats, n, tau):
     """Estimator statistics from an (M,) array of per-sample L values.
 
     Split out from dsff_point so synthetic L arrays with known mean and
-    variance can drive the estimator directly in tests.
+    variance can drive the estimator directly in tests. It is the one-row
+    case of the statistics dsff_grid computes over a whole grid, so it gives
+    the same bytes as a grid row with the same L values.
     """
     stats = np.asarray(stats, dtype=np.complex128)
-    m = stats.shape[0]
+    return _estimates(stats[np.newaxis], n, [tau])[0]
+
+
+def _estimates(stats, n, taus):
+    """One DsffEstimate per row of a (P, M) array of L values, row p at taus[p].
+
+    Every statistic is a reduction along the rows, which numpy sums
+    pairwise row by row, so row p gives the same bytes whatever P is. The
+    means and the standard deviation are spelled out as the steps np.mean
+    and np.std(ddof=1) take, with the same bytes and less overhead per call.
+    """
+    m = stats.shape[1]
     n2 = float(n) ** 2
-    k_samples = (stats.real**2 + stats.imag**2) / n2
-    k_mean = float(np.mean(k_samples))
+    # one (P, M) work array, reused in place, and one transient beside it
+    work = np.square(stats.real)
+    work += np.square(stats.imag)
+    work /= n2  # |L|^2 / N^2 per sample
+    k_mean = work.sum(axis=1) / m
     if m < 2:
         nan = float("nan")
-        return DsffEstimate(
-            tau=tau,
-            k_mean=k_mean,
-            k_stderr=nan,
-            disconnected_unbiased=nan,
-            connected=nan,
-            connected_stderr=nan,
-            contact=1.0 / n,
-            m=m,
-        )
-    k_stderr = float(np.std(k_samples, ddof=1)) / math.sqrt(m)
-    mean_l = np.mean(stats)
-    dev = stats - mean_l
-    abs_dev_sq = dev.real**2 + dev.imag**2
-    s2 = float(np.sum(abs_dev_sq)) / (m - 1)
-    disconnected = (abs(mean_l) ** 2 - s2 / m) / n2
-    m4 = float(np.mean(abs_dev_sq**2))
-    connected_stderr = math.sqrt(max(m4 - s2 * s2, 0.0) / m) / n2
-    return DsffEstimate(
-        tau=tau,
-        k_mean=k_mean,
-        k_stderr=k_stderr,
-        disconnected_unbiased=float(disconnected),
-        connected=s2 / n2,
-        connected_stderr=connected_stderr,
-        contact=1.0 / n,
-        m=m,
-    )
+        return [
+            DsffEstimate(tau=tau, k_mean=k, k_stderr=nan, disconnected_unbiased=nan,
+                         connected=nan, connected_stderr=nan, contact=1.0 / n, m=m)
+            for tau, k in zip(taus, k_mean.tolist())
+        ]
+    work -= k_mean[:, np.newaxis]
+    work *= work
+    k_stderr = np.sqrt(work.sum(axis=1) / (m - 1)) / math.sqrt(m)
+    mean_l = stats.sum(axis=1) / m
+    # |L - mean L|^2, taking the real and imaginary parts of L - mean L apart
+    np.subtract(stats.real, mean_l.real[:, np.newaxis], out=work)
+    work *= work
+    dev_im = stats.imag - mean_l.imag[:, np.newaxis]
+    dev_im *= dev_im
+    work += dev_im
+    del dev_im
+    s2 = work.sum(axis=1) / (m - 1)
+    # |mean L|^2 as the scalar abs(.) ** 2 (libm hypot and pow): numpy's SIMD
+    # complex abs and its array square (x * x) can round the last bit
+    # otherwise, and disconnected_unbiased is a near-cancellation that
+    # magnifies it
+    mean_sq = np.array([abs(v) ** 2 for v in mean_l])
+    disconnected = (mean_sq - s2 / m) / n2
+    work *= work
+    m4 = work.sum(axis=1) / m
+    connected_stderr = np.sqrt(np.maximum(m4 - s2 * s2, 0.0) / m) / n2
+    columns = (k_mean, k_stderr, disconnected, s2 / n2, connected_stderr)
+    return [
+        DsffEstimate(tau, k, k_se, disc, conn, conn_se, 1.0 / n, m)
+        for tau, k, k_se, disc, conn, conn_se in zip(taus, *(c.tolist() for c in columns))
+    ]
 
 
 def dsff_point(sset, tau):
@@ -169,15 +198,19 @@ def dsff_grid(sset, taus):
     """
     taus = list(taus)
     plan = _ray_plan(sset, taus)
+    re = np.asarray(sset.eigenvalues.real, dtype=np.float64)
+    im = np.asarray(sset.eigenvalues.imag, dtype=np.float64)
     if plan is None:
-        re = np.ascontiguousarray(sset.eigenvalues.real, dtype=np.float64)
-        im = np.ascontiguousarray(sset.eigenvalues.imag, dtype=np.float64)
-        stats = (kernels.linear_stat_sums(re, im, tau.t, tau.s) for tau in taus)
+        stats = np.empty((len(taus), sset.m), dtype=np.complex128)
+        for row, tau in zip(stats, taus):
+            row[:] = kernels.linear_stat_sums(re, im, tau.t, tau.s)
     else:
-        re = np.asarray(sset.eigenvalues.real, dtype=np.float64)
-        im = np.asarray(sset.eigenvalues.imag, dtype=np.float64)
         stats = kernels.ray_linear_stat_sums(re, im, *plan)
-    return [estimate_from_linear_stats(l, sset.n, tau) for l, tau in zip(stats, taus)]
+    # blocks of whole rows keep the statistics' work arrays in cache and the
+    # memory peak flat; a row's bytes do not depend on the blocking
+    rows = max(1, kernels._BLOCK_ELEMENTS // sset.m)
+    return [est for a in range(0, len(taus), rows)
+            for est in _estimates(stats[a:a + rows], sset.n, taus[a:a + rows])]
 
 
 def build_tau_grid(theta, tau_min, tau_max, points, spacing="log"):

@@ -538,7 +538,7 @@ def suite_estimator():
     sset_r = SpectrumSet(
         spec=EnsembleSpec(field="complex", distribution="gaussian", n=64),
         master_seed=0,
-        eigenvalues=np.vstack([_random_spectrum(rng, 64) for _ in range(40)]),
+        eigenvalues=np.vstack([_random_spectrum(rng, 64) for _ in range(200)]),
     )
     taus = estimator.build_tau_grid(0.3, 0.5, 8.0, 40, "log")
     order = estimator.ray_order(sset_r, taus)
@@ -549,7 +549,7 @@ def suite_estimator():
             abs(est.k_mean - estimator.dsff_point(sset_r, tau).k_mean) / est.k_mean
             for tau, est in zip(taus, estimator.dsff_grid(sset_r, taus))
         )
-        detail = f"Chebyshev ray route (K={order}) vs cos/sin kernel, 40 points"
+        detail = f"Chebyshev ray route (K={order}) vs pointwise kernel, 40 points, M=200"
     checks.append(_check("ray_route_matches_pointwise", dev, 1e-12, detail))
     return checks
 

@@ -36,8 +36,8 @@ def test_reference_values():
 
 def test_route_crossover_continuity():
     # one route serves both sides of x = 12, so J_2 has no seam there
-    assert bessel_j(2, 11.999999) == pytest.approx(-0.084930285586532788, rel=1e-10)
-    assert bessel_j(2, 12.000001) == pytest.approx(-0.08493070417057681, rel=1e-12)
+    assert bessel_j(2, 11.999999) == pytest.approx(-0.084930285586532788, rel=1e-10, abs=0.0)
+    assert bessel_j(2, 12.000001) == pytest.approx(-0.08493070417057681, rel=1e-12, abs=0.0)
 
 
 def test_zero_argument():
@@ -63,18 +63,18 @@ def test_row_matches_scalar():
 def test_row_order_zero():
     row = bessel_j_row(0, 2.0)
     assert row.shape == (1,)
-    assert row[0] == pytest.approx(bessel_j(0, 2.0), rel=1e-14)
+    assert row[0] == pytest.approx(bessel_j(0, 2.0), rel=1e-14, abs=0.0)
 
 
 def test_weighted_series_frozen():
     assert weighted_bessel_series(3.0, "abs_k") == pytest.approx(
-        1.9078108044201393, rel=1e-12
+        1.9078108044201393, rel=1e-12, abs=0.0
     )
     assert weighted_bessel_series(20.0, "abs_k") == pytest.approx(
-        12.722306391429547, rel=1e-12
+        12.722306391429547, rel=1e-12, abs=0.0
     )
     assert weighted_bessel_series(3.0, "abs_k_sin_sq", phi=0.7) == pytest.approx(
-        1.45950548619547, rel=1e-12
+        1.45950548619547, rel=1e-12, abs=0.0
     )
 
 
@@ -102,7 +102,7 @@ def test_weighted_series_closed_form():
     # sum_k k^2 J_k(x)^2 = x^2 / 2
     for x in (0.5, 7.0, 33.0):
         assert weighted_bessel_series(x, "k_squared") == pytest.approx(
-            x * x / 2.0, rel=1e-10
+            x * x / 2.0, rel=1e-10, abs=0.0
         )
 
 
@@ -218,7 +218,7 @@ def test_table_zero_argument_column_is_exact():
     table = bessel_j_table(6, [0.0, 2.0, 0.0])
     assert table[:, 0].tolist() == [1.0, 0, 0, 0, 0, 0, 0]
     assert table[:, 2].tolist() == [1.0, 0, 0, 0, 0, 0, 0]
-    assert table[1, 1] == pytest.approx(bessel_j(1, 2.0), rel=1e-14)
+    assert table[1, 1] == pytest.approx(bessel_j(1, 2.0), rel=1e-14, abs=0.0)
 
 
 def test_table_argument_validation():
@@ -227,7 +227,7 @@ def test_table_argument_validation():
             bessel_j_table(4, bad)
     with pytest.raises(ValueError):
         bessel_j_table(-1, [1.0])
-    assert bessel_j_table(4, [TABLE_MIN_ARGUMENT])[1, 0] == pytest.approx(TABLE_MIN_ARGUMENT / 2, rel=1e-14)
+    assert bessel_j_table(4, [TABLE_MIN_ARGUMENT])[1, 0] == pytest.approx(TABLE_MIN_ARGUMENT / 2, rel=1e-14, abs=0.0)
 
 
 def test_chebyshev_order_tail():

@@ -135,7 +135,7 @@ def test_sample_summary_goes_to_stderr(tmp_path, capsys):
 
     # a grid the moment route takes names its Chebyshev order
     rng = np.random.default_rng(3)
-    eigs = np.sqrt(rng.uniform(0.0, 1.0, (40, 64))) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (40, 64)))
+    eigs = np.sqrt(rng.uniform(0.0, 1.0, (400, 64))) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (400, 64)))
     sset = SpectrumSet(spec=EnsembleSpec("complex", "gaussian", 64), master_seed=3, eigenvalues=eigs)
     save_spectra(sset, str(cache))
     assert main(["estimate", "--spectra", str(cache), "--points", "40", "--out", str(est_csv)]) == 0
@@ -203,7 +203,7 @@ def test_exact_gaussian_columns(tmp_path):
     # contact + disconnected + connected recombine
     for r in rows:
         total = float(r["contact"]) + float(r["disconnected"]) + float(r["connected"])
-        assert float(r["k_total"]) == pytest.approx(total, rel=1e-12)
+        assert float(r["k_total"]) == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
 def test_grid_mismatch_exits_3(tmp_path, capsys):
@@ -252,7 +252,7 @@ def test_theory_tau_grid_default_reaches_past_plateau(tmp_path):
     out = str(tmp_path / "default.csv")
     assert main(["theory", "--n", "100", "--points", "5", "--out", out]) == 0
     _, rows = _read_rows(out)
-    assert float(rows[-1]["abs_tau"]) == pytest.approx(20.0, rel=1e-12)  # 2 sqrt(N)
+    assert float(rows[-1]["abs_tau"]) == pytest.approx(20.0, rel=1e-12, abs=0.0)  # 2 sqrt(N)
 
 
 def _exit_code(argv):

@@ -122,5 +122,5 @@ def test_complex_entries_have_balanced_components():
     entries = sample_matrix(spec, 7, 0).entries
     re_var = float(np.var(entries.real))
     im_var = float(np.var(entries.imag))
-    assert re_var == pytest.approx(im_var, rel=0.1)
-    assert re_var + im_var == pytest.approx(1.0 / 64.0, rel=0.1)
+    assert re_var == pytest.approx(im_var, rel=0.1, abs=0.0)
+    assert re_var + im_var == pytest.approx(1.0 / 64.0, rel=0.1, abs=0.0)

@@ -40,7 +40,7 @@ def test_k_mean_matches_double_sum():
     diff_re = eigs[0].real[:, None] - eigs[0].real[None, :]
     diff_im = eigs[0].imag[:, None] - eigs[0].imag[None, :]
     brute = float(np.exp(1j * (tau.t * diff_re + tau.s * diff_im)).sum().real) / 25**2
-    assert est.k_mean == pytest.approx(brute, rel=1e-12)
+    assert est.k_mean == pytest.approx(brute, rel=1e-12, abs=0.0)
 
 
 def test_decomposition_identity():
@@ -48,7 +48,7 @@ def test_decomposition_identity():
     eigs = _disk_spectra(12, 20, 3)
     est = dsff_point(_sset(eigs), ComplexTime(2.0, 0.5))
     assert est.k_mean == pytest.approx(
-        est.disconnected_unbiased + est.connected, rel=1e-14
+        est.disconnected_unbiased + est.connected, rel=1e-14, abs=0.0
     )
     assert est.contact == 1.0 / 20
     assert est.m == 12
@@ -61,14 +61,14 @@ def test_estimate_from_linear_stats_moments():
     n = 10
     est = estimate_from_linear_stats(stats, n, ComplexTime(1.0, 0.0))
     k_samples = np.abs(stats) ** 2 / n**2
-    assert est.k_mean == pytest.approx(float(np.mean(k_samples)), rel=1e-14)
+    assert est.k_mean == pytest.approx(float(np.mean(k_samples)), rel=1e-14, abs=0.0)
     assert est.k_stderr == pytest.approx(
-        float(np.std(k_samples, ddof=1)) / math.sqrt(50), rel=1e-12
+        float(np.std(k_samples, ddof=1)) / math.sqrt(50), rel=1e-12, abs=0.0
     )
     s2 = float(np.sum(np.abs(stats - stats.mean()) ** 2)) / 49
-    assert est.connected == pytest.approx(s2 / n**2, rel=1e-12)
+    assert est.connected == pytest.approx(s2 / n**2, rel=1e-12, abs=0.0)
     assert est.disconnected_unbiased == pytest.approx(
-        (abs(stats.mean()) ** 2 - s2 / 50) / n**2, rel=1e-12
+        (abs(stats.mean()) ** 2 - s2 / 50) / n**2, rel=1e-12, abs=0.0
     )
 
 
@@ -99,8 +99,8 @@ def test_permutation_invariance():
     shuffled = eigs[:, rng.permutation(35)]
     est = dsff_point(_sset(shuffled), tau)
     # same multiset per sample; only the summation order changed
-    assert est.k_mean == pytest.approx(base.k_mean, rel=1e-12)
-    assert est.connected == pytest.approx(base.connected, rel=1e-11)
+    assert est.k_mean == pytest.approx(base.k_mean, rel=1e-12, abs=0.0)
+    assert est.connected == pytest.approx(base.connected, rel=1e-11, abs=0.0)
 
 
 def test_repeat_call_is_bitwise_deterministic():
@@ -112,20 +112,20 @@ def test_repeat_call_is_bitwise_deterministic():
 
 def test_dsff_grid_matches_pointwise():
     # a cross-route check: the grid takes the Chebyshev ray route, each
-    # dsff_point the cos/sin kernel
-    sset = _sset(_disk_spectra(40, 64, 9))
+    # dsff_point the pointwise kernel
+    sset = _sset(_disk_spectra(200, 64, 9))
     taus = build_tau_grid(0.3, 0.5, 8.0, 40, "log")
     assert ray_order(sset, taus) is not None
     grid_ests = dsff_grid(sset, taus)
     assert len(grid_ests) == 40
     for tau, est in zip(taus, grid_ests):
         single = dsff_point(sset, tau)
-        assert est.k_mean == pytest.approx(single.k_mean, rel=1e-12)
+        assert est.k_mean == pytest.approx(single.k_mean, rel=1e-12, abs=0.0)
         assert est.tau == tau
 
 
 def test_ray_grid_from_zero_is_exact_there():
-    sset = _sset(_disk_spectra(40, 64, 10))
+    sset = _sset(_disk_spectra(200, 64, 10))
     taus = build_tau_grid(math.pi / 4, 0.0, 12.0, 40, "linear")
     assert ray_order(sset, taus) is not None
     est = dsff_grid(sset, taus)[0]
@@ -137,7 +137,7 @@ def test_ray_grid_from_zero_is_exact_there():
 
 
 def test_ray_grid_is_bitwise_deterministic():
-    sset = _sset(_disk_spectra(40, 64, 11))
+    sset = _sset(_disk_spectra(200, 64, 11))
     taus = build_tau_grid(1.1, 0.2, 10.0, 30, "log")
     assert ray_order(sset, taus) is not None
     first, again = dsff_grid(sset, taus), dsff_grid(sset, taus)
@@ -163,7 +163,7 @@ def _count_kernel_calls(monkeypatch):
 
 
 def test_point_and_off_ray_grids_stay_pointwise(monkeypatch):
-    sset = _sset(_disk_spectra(40, 64, 12))
+    sset = _sset(_disk_spectra(200, 64, 12))
     ray = build_tau_grid(0.4, 0.5, 8.0, 40, "log")
     assert ray_order(sset, ray) is not None
     calls = _count_kernel_calls(monkeypatch)
@@ -178,15 +178,76 @@ def test_point_and_off_ray_grids_stay_pointwise(monkeypatch):
     assert calls[-1] == (1.2, 0.7)
 
 
+@pytest.mark.parametrize("m, n, tau_min, tau_max, points", [
+    (500, 128, 0.1, 2.0 * math.sqrt(128), 120),  # a real N=128 cache reanalysed
+    (32, 256, 0.3, 25.0, 80),  # the cold figure
+    (1000, 256, 0.3, 25.0, 80),  # the A1 grid
+])
+def test_figure_sized_grids_take_the_ray_route(m, n, tau_min, tau_max, points):
+    # sampled spectra reach a radius of about 1.1-1.2, and a larger radius
+    # needs a higher order, so these disks are scaled to 1.2
+    sset = _sset(1.2 * _disk_spectra(m, n, 14))
+    for theta in (0.0, math.pi / 4, math.pi / 2):
+        ray = build_tau_grid(theta, tau_min, tau_max, points)
+        assert ray_order(sset, ray) is not None
+        assert ray_order(sset, ray[-1:]) is None
+        other = build_tau_grid(theta + 0.5, tau_min, tau_max, points)
+        assert ray_order(sset, ray[::2] + other[1::2]) is None
+
+
+def _per_row_reference(stats, n):
+    """The estimator's statistics from one row of L values, in scalar steps."""
+    m = stats.shape[0]
+    n2 = float(n) ** 2
+    k_samples = (stats.real**2 + stats.imag**2) / n2
+    mean_l = np.mean(stats)
+    dev = stats - mean_l
+    abs_dev_sq = dev.real**2 + dev.imag**2
+    s2 = float(np.sum(abs_dev_sq)) / (m - 1)
+    m4 = float(np.mean(abs_dev_sq**2))
+    return (
+        float(np.mean(k_samples)),
+        float(np.std(k_samples, ddof=1)) / math.sqrt(m),
+        float((abs(mean_l) ** 2 - s2 / m) / n2),
+        s2 / n2,
+        math.sqrt(max(m4 - s2 * s2, 0.0) / m) / n2,
+    )
+
+
+@pytest.mark.parametrize("theta", [0.3, None])
+def test_grid_rows_match_the_per_row_reference_bytes(theta):
+    # whole-array steps over blocks of rows of the (P, M) array of L give
+    # each row the bytes of the scalar per-row steps and of
+    # estimate_from_linear_stats, on the ray route and point by point; 60
+    # rows of 300 samples make two blocks
+    sset = _sset(_disk_spectra(300, 64, 15))
+    re, im = sset.eigenvalues.real, sset.eigenvalues.imag
+    if theta is None:
+        taus = [ComplexTime(0.05 * k, 2.0 - 0.02 * k) for k in range(60)]
+        assert ray_order(sset, taus) is None
+        rows = [kernels.linear_stat_sums(re, im, tau.t, tau.s) for tau in taus]
+    else:
+        taus = build_tau_grid(theta, 0.5, 8.0, 60)
+        far = taus[-1]
+        rows = kernels.ray_linear_stat_sums(
+            re, im, (far.t / far.abs_tau, far.s / far.abs_tau), [tau.abs_tau for tau in taus],
+            sset.spectral_radius, ray_order(sset, taus))
+    for tau, row, est in zip(taus, rows, dsff_grid(sset, taus)):
+        got = (est.k_mean, est.k_stderr, est.disconnected_unbiased, est.connected,
+               est.connected_stderr)
+        assert got == _per_row_reference(row, sset.n)
+        assert estimate_from_linear_stats(row, sset.n, tau) == est
+
+
 def test_ray_order_rejects_grids_outside_its_range():
-    sset = _sset(_disk_spectra(40, 64, 13))
+    sset = _sset(_disk_spectra(200, 64, 13))
     rho = sset.spectral_radius
     # a phase too small for the Bessel table, an order beyond MAX_ORDER
     assert ray_order(sset, build_tau_grid(0.2, 1e-60, 8.0, 40, "log")) is None
     assert ray_order(sset, build_tau_grid(0.2, 1.0, 2.0 * MAX_ORDER / rho, 40, "log")) is None
     # opposite directions are two rays; all-zero spectra need no phases
     assert ray_order(sset, build_tau_grid(0.2, 0.5, 8.0, 40) + [ComplexTime.from_polar(1.0, 0.2 + math.pi)]) is None
-    zero = _sset(np.zeros((40, 64), dtype=complex))
+    zero = _sset(np.zeros((200, 64), dtype=complex))
     assert ray_order(zero, build_tau_grid(0.2, 0.5, 8.0, 40)) is None
     assert [e.k_mean for e in dsff_grid(zero, build_tau_grid(0.2, 0.5, 8.0, 3))] == [1.0] * 3
 
@@ -194,18 +255,18 @@ def test_ray_order_rejects_grids_outside_its_range():
 def test_build_tau_grid_log():
     taus = build_tau_grid(0.0, 0.1, 10.0, 5, "log")
     radii = [t.abs_tau for t in taus]
-    assert radii[0] == pytest.approx(0.1, rel=1e-12)
-    assert radii[-1] == pytest.approx(10.0, rel=1e-12)
+    assert radii[0] == pytest.approx(0.1, rel=1e-12, abs=0.0)
+    assert radii[-1] == pytest.approx(10.0, rel=1e-12, abs=0.0)
     ratios = [radii[i + 1] / radii[i] for i in range(4)]
-    assert max(ratios) == pytest.approx(min(ratios), rel=1e-10)
+    assert max(ratios) == pytest.approx(min(ratios), rel=1e-10, abs=0.0)
     assert all(t.s == 0.0 for t in taus)
 
 
 def test_build_tau_grid_linear_allows_zero():
     taus = build_tau_grid(math.pi / 4, 0.0, 2.0, 3, "linear")
     assert taus[0].abs_tau == 0.0
-    assert taus[1].t == pytest.approx(taus[1].s, rel=1e-12)
-    assert taus[2].abs_tau == pytest.approx(2.0, rel=1e-15)
+    assert taus[1].t == pytest.approx(taus[1].s, rel=1e-12, abs=0.0)
+    assert taus[2].abs_tau == pytest.approx(2.0, rel=1e-15, abs=0.0)
 
 
 def test_build_tau_grid_validation():

@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,62 @@ def test_magnitude_bounded_by_n():
     assert np.all(np.abs(out) <= 50.0 + 1e-9)
 
 
+def _assert_close_to_direct(got, re, im, t, s):
+    # each term is within a few rounding units of exp(i phi), so each row
+    # sum is within N x 4e-16
+    want = _direct_formula(re, im, t, s)
+    assert np.all(np.isfinite(got.view(np.float64)))
+    assert np.max(np.abs(got - want)) <= re.shape[1] * 4e-16
+
+
+def test_phases_up_to_the_cli_limit():
+    re, im = _random_parts(6, 64, 20)
+    scale = 1e8 / np.abs(re).max()  # t x reaches 1e8, cli.MAX_PHASE
+    for t, s in ((scale, 0.0), (0.5 * scale, -0.4 * scale), (3.7e5, 2.9e5)):
+        _assert_close_to_direct(kernels.linear_stat_sums(re, im, t, s), re, im, t, s)
+
+
+def test_phases_at_the_poles_of_the_half_angle_tangent():
+    # phi = (2k + 1) pi puts phi / 2 next to a pole of tan
+    k = np.arange(-96, 96).reshape(3, 64)
+    re = (2 * k + 1) * np.pi
+    im = np.ones_like(re)
+    for t, s in ((1.0, 0.0), (3.0, 0.0), (1e5 + 1.0, 0.0), (0.0, np.pi)):
+        _assert_close_to_direct(kernels.linear_stat_sums(re, im, t, s), re, im, t, s)
+
+
+def test_strided_views_give_the_bytes_of_contiguous_copies():
+    rng = np.random.default_rng(21)
+    eigs = rng.standard_normal((37, 50)) + 1j * rng.standard_normal((37, 50))
+    re, im = np.ascontiguousarray(eigs.real), np.ascontiguousarray(eigs.imag)
+    views = kernels.linear_stat_sums(eigs.real, eigs.imag, 2.3, -1.4)
+    assert views.tobytes() == kernels.linear_stat_sums(re, im, 2.3, -1.4).tobytes()
+
+
+@pytest.mark.parametrize("m, n", [(1, 64), (170, 200), (3, 20_000)])
+def test_bytes_ignore_the_block_split(monkeypatch, m, n):
+    # (170, 200) runs blocks of 81 rows and a short last one; (3, 20_000)
+    # has rows longer than one block
+    re, im = _random_parts(m, n, 22)
+    whole = kernels.linear_stat_sums(re, im, 1.7, 0.6)
+    rows = [kernels.linear_stat_sums(re[i:i + 1], im[i:i + 1], 1.7, 0.6) for i in range(m)]
+    assert np.concatenate(rows).tobytes() == whole.tobytes()
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 3 * n)
+    assert kernels.linear_stat_sums(re, im, 1.7, 0.6).tobytes() == whole.tobytes()
+    _assert_close_to_direct(whole, re, im, 1.7, 0.6)
+
+
+def test_work_memory_stays_within_one_block():
+    re, im = _random_parts(400, 256, 23)  # 800 KB a part
+    tracemalloc.start()
+    try:
+        kernels.linear_stat_sums(re, im, 0.9, 2.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * kernels._BLOCK_ELEMENTS
+
+
 def _ray_inputs(theta, x_max, points=40, m=8, n=40, seed=5):
     re, im = _random_parts(m, n, seed)
     rho = float(np.hypot(re, im).max())
@@ -70,7 +127,7 @@ def test_ray_route_matches_pointwise_kernel(theta):
         want = kernels.linear_stat_sums(re, im, r * c, r * s)
         k_ray = float(np.mean(np.abs(row) ** 2)) / n2
         k_point = float(np.mean(np.abs(want) ** 2)) / n2
-        assert k_ray == pytest.approx(k_point, rel=1e-12)
+        assert k_ray == pytest.approx(k_point, rel=1e-12, abs=0.0)
 
 
 def test_ray_route_is_bitwise_repeatable():

@@ -106,7 +106,7 @@ def test_real_axis_small_s_limit(grid):
     # I(0, s) -> s^2/8 as s -> 0
     s = 1e-3
     assert real_axis_correction_integral(0.0, s, grid) == pytest.approx(
-        s * s / 8.0, rel=1e-6
+        s * s / 8.0, rel=1e-6, abs=0.0
     )
 
 
@@ -162,7 +162,7 @@ def test_real_axis_line_vanishes_at_s_zero():
 def test_real_axis_line_small_s_limit():
     # I(0, s) -> s^2/8 as s -> 0
     for s in (1e-3, 1e-8):
-        assert real_axis_correction_line(0.0, s) == pytest.approx(s * s / 8.0, rel=1e-6)
+        assert real_axis_correction_line(0.0, s) == pytest.approx(s * s / 8.0, rel=1e-6, abs=0.0)
 
 
 def test_real_axis_line_even_in_both_arguments():

@@ -15,10 +15,10 @@ from dsff_lab.theory import (
 
 def test_complex_time_polar_roundtrip():
     tau = ComplexTime.from_polar(2.5, 0.8)
-    assert tau.abs_tau == pytest.approx(2.5, rel=1e-15)
-    assert tau.theta == pytest.approx(0.8, rel=1e-15)
+    assert tau.abs_tau == pytest.approx(2.5, rel=1e-15, abs=0.0)
+    assert tau.theta == pytest.approx(0.8, rel=1e-15, abs=0.0)
     # phi is the complementary angle: sin(phi) = t/|tau|
-    assert tau.phi == pytest.approx(math.pi / 2 - 0.8, rel=1e-12)
+    assert tau.phi == pytest.approx(math.pi / 2 - 0.8, rel=1e-12, abs=0.0)
 
 
 def test_complex_time_origin_convention():
@@ -41,7 +41,7 @@ def test_complex_time_validation():
 # and disk integrals all recomputed independently)
 def test_expectation_frozen_real_case():
     val = expectation_linear_stat(ComplexTime(1.5, 0.7), 50, kappa4=-1.0, beta=1)
-    assert val == pytest.approx(34.205165059783371, rel=1e-12)
+    assert val == pytest.approx(34.205165059783371, rel=1e-12, abs=0.0)
 
 
 def test_theory_does_not_touch_the_disk_grid(monkeypatch):
@@ -55,20 +55,20 @@ def test_theory_does_not_touch_the_disk_grid(monkeypatch):
     monkeypatch.setattr(theory, "real_axis_correction_integral", refuse)
     tau = ComplexTime(1.5, 0.7)
     val = expectation_linear_stat(tau, 50, kappa4=-1.0, beta=1)
-    assert val == pytest.approx(34.205165059783371, rel=1e-12)
-    assert dsff_theory(tau, 50, kappa4=-1.0, beta=1).e_value * 50 == pytest.approx(val, rel=1e-15)
+    assert val == pytest.approx(34.205165059783371, rel=1e-12, abs=0.0)
+    assert dsff_theory(tau, 50, kappa4=-1.0, beta=1).e_value * 50 == pytest.approx(val, rel=1e-15, abs=0.0)
 
 
 def test_variance_frozen_values():
     v1 = variance_linear_stat(ComplexTime(1.5, 0.7), kappa4=-1.0, beta=1)
-    assert v1 == pytest.approx(1.6718727015049752, rel=1e-12)
+    assert v1 == pytest.approx(1.6718727015049752, rel=1e-12, abs=0.0)
     v2 = variance_linear_stat(ComplexTime.from_polar(3.0, 0.4), kappa4=-0.6, beta=2)
-    assert v2 == pytest.approx(3.0621345740392813, rel=1e-12)
+    assert v2 == pytest.approx(3.0621345740392813, rel=1e-12, abs=0.0)
 
 
 def test_dsff_theory_frozen_value():
     p = dsff_theory(ComplexTime(2.0, 1.0), 200, kappa4=-1.0, beta=2)
-    assert p.k_total == pytest.approx(0.23956858304899218, rel=1e-12)
+    assert p.k_total == pytest.approx(0.23956858304899218, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("beta", [1, 2])
@@ -104,9 +104,9 @@ def test_prediction_structure():
     p = dsff_theory(ComplexTime(1.0, 2.0), 100, kappa4=-2.0, beta=1)
     assert set(p.e_terms) == {"leading", "laplacian", "kappa4", "real_axis"}
     assert set(p.v_terms) == {"gradient", "real_ramp", "series", "kappa4"}
-    assert sum(p.e_terms.values()) == pytest.approx(p.e_value, rel=1e-15)
-    assert sum(p.v_terms.values()) == pytest.approx(p.v_value, rel=1e-15)
-    assert p.k_total == pytest.approx(p.disconnected + p.connected, rel=1e-15)
+    assert sum(p.e_terms.values()) == pytest.approx(p.e_value, rel=1e-15, abs=0.0)
+    assert sum(p.v_terms.values()) == pytest.approx(p.v_value, rel=1e-15, abs=0.0)
+    assert p.k_total == pytest.approx(p.disconnected + p.connected, rel=1e-15, abs=0.0)
 
 
 def test_complex_case_has_no_real_axis_term():
@@ -124,7 +124,7 @@ def test_validity_warning_boundary():
 def test_rotation_invariance_complex_case():
     base = dsff_theory(ComplexTime.from_polar(3.0, 0.0), 500, kappa4=-1.0, beta=2)
     rot = dsff_theory(ComplexTime.from_polar(3.0, 1.1), 500, kappa4=-1.0, beta=2)
-    assert rot.k_total == pytest.approx(base.k_total, rel=1e-13)
+    assert rot.k_total == pytest.approx(base.k_total, rel=1e-13, abs=0.0)
 
 
 def test_beta_validation():
@@ -143,7 +143,7 @@ def test_n_validation():
 
 def test_simplified_frozen_value():
     val = dsff_simplified(ComplexTime(3.0, 4.0), 500, beta=1)
-    assert val == pytest.approx(0.017193884008019902, rel=1e-12)
+    assert val == pytest.approx(0.017193884008019902, rel=1e-12, abs=0.0)
 
 
 def test_simplified_rejects_origin():
@@ -162,22 +162,22 @@ def test_simplified_tracks_full_theory_at_large_n():
 
 def test_ginibre_frozen_value():
     g = ginibre_exact_dsff(ComplexTime.from_polar(2.0, 0.9), 64)
-    assert g.k_total == pytest.approx(0.33285374705399306, rel=1e-12)
+    assert g.k_total == pytest.approx(0.33285374705399306, rel=1e-12, abs=0.0)
 
 
 def test_ginibre_at_origin_and_plateau():
     n = 400
     assert ginibre_exact_dsff(ComplexTime(0.0, 0.0), n).k_total == pytest.approx(
-        1.0, rel=1e-15
+        1.0, rel=1e-15, abs=0.0
     )
     far = ginibre_exact_dsff(ComplexTime.from_polar(50.0 * math.sqrt(n), 0.2), n)
-    assert far.k_total == pytest.approx(1.0 / n, rel=1e-6)
+    assert far.k_total == pytest.approx(1.0 / n, rel=1e-6, abs=0.0)
     assert far.contact == 1.0 / n
 
 
 def test_timescales():
     ts = timescales(1024)
-    assert ts.tau_edge == pytest.approx(16.0, rel=1e-12)
-    assert ts.tau_hei == pytest.approx(32.0, rel=1e-15)
+    assert ts.tau_edge == pytest.approx(16.0, rel=1e-12, abs=0.0)
+    assert ts.tau_hei == pytest.approx(32.0, rel=1e-15, abs=0.0)
     with pytest.raises(ValueError):
         timescales(0)
