@@ -27,7 +27,6 @@ from .theory import (
     dsff_theory,
     expectation_linear_stat,
     ginibre_exact_dsff,
-    plane_wave,
     timescales,
     variance_linear_stat,
 )

@@ -375,7 +375,13 @@ def _cmd_compare(args):
 
 
 def _cmd_verify(args):
-    report = run_suites(args.suite or None)
+    seconds = {}
+    report = run_suites(args.suite or None, seconds)
+    # wall times go to stderr only: the report must stay deterministic
+    print(
+        "suite seconds: " + ", ".join(f"{name} {sec:.3f}" for name, sec in seconds.items()),
+        file=sys.stderr,
+    )
     _write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     total = sum(len(cs) for cs in report["suites"].values())
     failed = [

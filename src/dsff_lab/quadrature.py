@@ -6,7 +6,11 @@ angle. Angular nodes carry a half-step offset, theta_j = 2*pi*(j+1/2)/n: for
 periodic integrands the offset changes nothing, and with even n it makes the
 node set exactly symmetric under y -> -y and x -> -x while keeping every node
 off the real axis. The disk route of the real-axis correction integral
-requires both.
+relies on both: its integrand is even in x and in y, so it is evaluated on
+the columns with theta_j in (0, pi/2) only, each standing for its four
+mirror images. With n = 2 (mod 4) one column lies on theta = pi/2 and is
+its own image under x -> -x, so it stands for two columns; with odd n the
+images of a column are not grid columns, and the fold is refused.
 
 The line route of the same integral does the x integral in closed form and
 leaves one smooth angular integral on (0, pi/2), which a composite
@@ -47,7 +51,9 @@ class DiskGrid:
     x, y are (radial_nodes, angular_nodes) node coordinates; radial_weights
     already contain the Gauss-Legendre weight, the [-1,1]->[0,1] map factor
     and the polar Jacobian r, so
-    integral ~= angular_weight * radial_weights @ values.sum(axis=1).
+    integral ~= angular_weight * sum_i radial_weights[i] * row_sums[i],
+    with row_sums[i] the sum of the integrand over the angular nodes of
+    radial row i.
     """
 
     radial_nodes: int
@@ -63,8 +69,12 @@ class DiskGrid:
     def weight_sum(self):
         return self.angular_weight * self.angular_nodes * float(self.radial_weights.sum())
 
+    def integrate_rows(self, row_sums):
+        """The integral from the (radial_nodes,) sums over each radial row."""
+        return self.angular_weight * (self.radial_weights * row_sums).sum()
+
     def integrate_values(self, values):
-        return self.angular_weight * (self.radial_weights @ values.sum(axis=1))
+        return self.integrate_rows(values.sum(axis=1))
 
 
 @functools.cache
@@ -134,18 +144,35 @@ def real_axis_correction_integral(t, s, grid):
     """(1/4pi) integral over the disk of cos(t x) (1 - cos(s y)) / y^2.
 
     This is the even part of e^{itx}(1 - e^{isy})/y^2; the odd parts cancel
-    pairwise on a grid symmetric under x -> -x and y -> -y, which requires an
-    even angular node count (asymmetric grids are rejected). Vanishes
-    identically at s = 0.
+    pairwise on a grid symmetric under x -> -x and y -> -y. The integrand is
+    even in x and in y, so it is evaluated from |t| and |s| on the columns
+    with theta_j in (0, pi/2) only and each column counted four times, or
+    twice for the column on theta = pi/2 that an angular count of
+    2 (mod 4) puts there. That fold needs an even angular node count (odd
+    counts are rejected), and makes the result bitwise even in t and in s.
+    (1 - cos(s y))/y^2 is taken as 2 (sin(s y/2)/y)^2: no grid node has
+    y = 0, so s = 0 gives 0 exactly.
     """
     if grid.angular_nodes % 2 != 0:
         raise ValueError(
             "real-axis correction needs a grid symmetric under y->-y and "
             f"x->-x: angular_nodes={grid.angular_nodes} is odd"
         )
-    u = s * grid.y
-    integrand = np.cos(t * grid.x) * (s * s) * _one_minus_cos_over_sq(u)
-    return float(grid.integrate_values(integrand)) / (4.0 * np.pi)
+    n = grid.angular_nodes
+    quarter = n // 4  # columns strictly inside (0, pi/2)
+    # with n = 2 (mod 4) one more column, number `quarter`, is on theta = pi/2
+    x, y = grid.x[:, :(n + 2) // 4], grid.y[:, :(n + 2) // 4]
+    work = np.multiply(y, 0.5 * abs(s))
+    np.sin(work, out=work)
+    np.divide(work, y, out=work)
+    np.multiply(work, work, out=work)
+    values = np.multiply(x, abs(t))
+    np.cos(values, out=values)
+    values *= work  # cos(t x) (1 - cos(s y)) / (2 y^2)
+    row_sums = 4.0 * values[:, :quarter].sum(axis=1)
+    if n % 4:
+        row_sums += 2.0 * values[:, quarter]
+    return float(grid.integrate_rows(row_sums)) / (2.0 * np.pi)
 
 
 @functools.cache

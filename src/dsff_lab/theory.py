@@ -29,7 +29,6 @@ __all__ = [
     "TheoryPrediction",
     "GinibreDsff",
     "Timescales",
-    "plane_wave",
     "expectation_linear_stat",
     "variance_linear_stat",
     "dsff_theory",
@@ -77,16 +76,6 @@ class ComplexTime:
         if self.abs_tau == 0.0:
             return 0.0
         return math.atan2(self.t, self.s)
-
-
-def plane_wave(t, s):
-    """The test function f(x + iy) = exp(i(t x + s y)) as a vectorized callable."""
-    import numpy as np
-
-    def f(x, y):
-        return np.exp(1j * (t * x + s * y))
-
-    return f
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,21 @@
 Each check compares a quantity computed one way against an independent route
 (identity, closed form, or brute force) and records value, tolerance, and
 verdict. Everything is seeded; no check depends on wall-clock, ordering, or
-worker counts. The acceptance tests reuse these suites for the fast
-deterministic gate.
+worker counts, and the suites' wall times stay out of the report. The
+acceptance tests reuse these suites for the fast deterministic gate.
 """
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-# dsff_point is looked up on its module at each call, so a wrapper installed
-# there (perfbench/tracing.py) also sees the calls made here
-from . import estimator, quadrature
+# dsff_point and linear_stat_sums are looked up on their modules at each
+# call, so a wrapper installed there (perfbench/tracing.py) also sees the
+# calls made here
+from . import estimator, kernels, quadrature
 from .bessel import bessel_j, bessel_j_row, truncation_order, weighted_bessel_series
 from .ensembles import EnsembleSpec
 from .estimator import estimate_from_linear_stats
@@ -26,7 +28,6 @@ from .theory import (
     dsff_theory,
     expectation_linear_stat,
     ginibre_exact_dsff,
-    plane_wave,
     timescales,
     variance_linear_stat,
 )
@@ -74,6 +75,19 @@ def suite_bessel():
         even_sum = row[0] + 2.0 * row[2::2].sum()
         dev = max(dev, abs(even_sum - 1.0))
     checks.append(_check("even_order_sum_rule", dev, 1e-10, "J_0 + 2 sum J_2k = 1"))
+
+    # the sum rule above restates the recurrence's own normalization; Bessel's
+    # integral checks the values without it, on 64 Gauss-Legendre nodes
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    theta = 0.5 * math.pi * (nodes + 1.0)
+    dev = max(
+        abs(0.5 * (weights @ np.cos(n * theta - x * np.sin(theta))) - bessel_j(n, x))
+        for n in (0, 1, 2, 5)
+        for x in (0.5, 7.5, 25.0)
+    )
+    checks.append(
+        _check("bessel_integral", dev, 1e-12, "J_n(x) = (1/pi) int_0^pi cos(n theta - x sin theta)")
+    )
 
     dev = 0.0
     for x in xs:
@@ -135,22 +149,24 @@ def suite_bessel():
 def _plane_wave_deviations(grid):
     """Largest errors of the disk integrals of f and (2r^2 - 1) f, f a plane wave.
 
-    One evaluation of f on the grid serves both integrals, weighted in place.
+    The grid's (radial, angular) node arrays have the shape of an (M, N)
+    spectrum block, so the phase-sum kernel gives the sums of f over each
+    radial row, and an integral is their contraction with the radial
+    weights. 2r^2 - 1 depends on the radius only, so the same row sums serve
+    both integrals.
     """
     rng = np.random.default_rng(20250817)
-    radial_weight = 2.0 * (grid.x**2 + grid.y**2) - 1.0
+    radial_weight = 2.0 * grid.r**2 - 1.0
     dev_f = dev_w = 0.0
     for _ in range(20):
         x = rng.uniform(0.05, 20.0)
         ang = rng.uniform(0.0, 2 * math.pi)
         t, s = x * math.cos(ang), x * math.sin(ang)
-        wave = plane_wave(t, s)(grid.x, grid.y)
-        val = grid.integrate_values(wave)
+        row_sums = kernels.linear_stat_sums(grid.x, grid.y, t, s)
+        val = grid.integrate_rows(row_sums)
         dev_f = max(dev_f, abs(val - 2 * math.pi * bessel_j(1, x) / x))
-        wave *= radial_weight
-        val = grid.integrate_values(wave)
+        val = grid.integrate_rows(radial_weight * row_sums)
         dev_w = max(dev_w, abs(val + 2 * math.pi * bessel_j(3, x) / x))
-        del wave  # before the next wave is built: one grid-sized array at a time
     return dev_f, dev_w
 
 
@@ -169,8 +185,8 @@ def suite_quadrature():
 
     dev = 0.0
     for x in (2.0, 9.5):
-        f = plane_wave(x, 0.0)
-        val = -(x**2) / (8 * math.pi) * quadrature.disk_integral(f, grid)
+        val = grid.integrate_rows(kernels.linear_stat_sums(grid.x, grid.y, x, 0.0))
+        val *= -(x**2) / (8 * math.pi)
         dev = max(dev, abs(val + x * bessel_j(1, x) / 4.0))
     checks.append(_check("laplacian_consistency", dev, 1e-8, "(1/8pi) int of Delta f"))
 
@@ -252,9 +268,15 @@ def suite_quadrature():
     checks.append(_check("real_axis_sign_symmetry", dev, 1e-14, "invariant under t->-t, s->-s"))
 
     t, s = 1.5, 0.7
-    full = grid.integrate_values(
-        np.exp(1j * t * grid.x) * (1.0 - np.exp(1j * s * grid.y)) / grid.y**2
-    ) / (4 * math.pi)
+    # e^{itx}(1 - e^{isy})/y^2 on the full grid, in two complex arrays
+    wave = np.exp(np.multiply(grid.x, 1j * t))
+    integrand = np.multiply(grid.y, 1j * s)
+    np.exp(integrand, out=integrand)
+    np.subtract(1.0, integrand, out=integrand)
+    integrand *= wave
+    del wave
+    integrand /= np.square(grid.y)
+    full = grid.integrate_values(integrand) / (4 * math.pi)
     checks.append(
         _check(
             "real_axis_imaginary_cancels",
@@ -325,8 +347,8 @@ def suite_theory():
 
     dev = 0.0
     for x in (2.0, 5.0):
-        f = plane_wave(x, 0.0)
-        mean_route = quadrature.disk_integral(f, grid).real / math.pi
+        row_sums = kernels.linear_stat_sums(grid.x, grid.y, x, 0.0)
+        mean_route = grid.integrate_rows(row_sums).real / math.pi
         circle_route = quadrature.boundary_average(lambda th: np.exp(1j * x * np.cos(th))).real
         quad_coeff = (mean_route - circle_route) ** 2
         bessel_coeff = (2 * bessel_j(1, x) / x - bessel_j(0, x)) ** 2
@@ -507,12 +529,14 @@ def suite_estimator():
 
     # Bias sensitivity: sigma^2/M = 8 here, so the naive |mean L|^2 route
     # would sit ~18 standard errors off while the corrected one stays within 5.
+    # The draws are taken in the order of one replication after another,
+    # real parts before imaginary parts, and each row of the (reps, m_rep)
+    # array gives the bytes estimate_from_linear_stats gives for it alone.
     mu, sigma, m_rep, reps = 3.0 - 1.0j, 8.0, 8, 1250
-    vals = np.empty(reps)
-    for r in range(reps):
-        g = rng.standard_normal(m_rep) + 1j * rng.standard_normal(m_rep)
-        est_r = estimate_from_linear_stats(mu + sigma * g / math.sqrt(2.0), 1, ComplexTime(1.0, 0.0))
-        vals[r] = est_r.disconnected_unbiased
+    z = rng.standard_normal((reps, 2, m_rep))
+    g = z[:, 0] + 1j * z[:, 1]
+    estimates = estimator._estimates(mu + sigma * g / math.sqrt(2.0), 1, [ComplexTime(1.0, 0.0)] * reps)
+    vals = np.array([est_r.disconnected_unbiased for est_r in estimates])
     se = float(np.std(vals, ddof=1)) / math.sqrt(reps)
     checks.append(
         _check(
@@ -562,15 +586,22 @@ SUITES = {
 }
 
 
-def run_suites(names=None):
-    """Run the named suites (all by default); returns a JSON-ready report."""
+def run_suites(names=None, seconds=None):
+    """Run the named suites (all by default); returns a JSON-ready report.
+
+    If a dict is passed as seconds, it receives each suite's wall time,
+    which stays out of the report so that the report is deterministic.
+    """
     if names is None:
         names = list(SUITES)
     report = {"suites": {}, "all_passed": True}
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r} (have {sorted(SUITES)})")
+        start = time.perf_counter()
         checks = SUITES[name]()
+        if seconds is not None:
+            seconds[name] = time.perf_counter() - start
         report["suites"][name] = [asdict(c) for c in checks]
         if not all(c.passed for c in checks):
             report["all_passed"] = False

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -248,6 +249,22 @@ def test_verify_subcommand(tmp_path, capsys):
     assert "all passed" in capsys.readouterr().err
 
 
+def test_verify_prints_suite_seconds_outside_the_report(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    argv = ["verify", "--suite", "bessel", "--suite", "estimator", "--out", str(report_path)]
+    assert main(argv) == 0
+    timing = [line for line in capsys.readouterr().err.splitlines() if "seconds" in line]
+    assert len(timing) == 1
+    assert re.fullmatch(r"suite seconds: bessel \d+\.\d{3}, estimator \d+\.\d{3}", timing[0])
+    report = json.loads(report_path.read_text())
+    assert set(report) == {"suites", "all_passed"}
+    assert set(report["suites"]) == {"bessel", "estimator"}
+    for checks in report["suites"].values():
+        for check in checks:
+            assert set(check) == {"name", "value", "tolerance", "passed", "detail"}
+    assert "seconds" not in report_path.read_text()
+
+
 def test_theory_tau_grid_default_reaches_past_plateau(tmp_path):
     out = str(tmp_path / "default.csv")
     assert main(["theory", "--n", "100", "--points", "5", "--out", out]) == 0
@@ -272,7 +289,7 @@ def _fail_eigensolver(monkeypatch):
 
 def _fail_verification(monkeypatch):
     report = {"all_passed": False, "suites": {"bessel": [{"name": "probe", "passed": False}]}}
-    monkeypatch.setattr(cli, "run_suites", lambda names: report)
+    monkeypatch.setattr(cli, "run_suites", lambda names, seconds: report)
 
 
 @pytest.fixture(scope="module")

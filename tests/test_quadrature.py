@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dsff_lab.bessel import bessel_j
+from dsff_lab.kernels import linear_stat_sums
 from dsff_lab.quadrature import (
     boundary_average,
     chord_integral,
@@ -132,6 +133,40 @@ def test_real_axis_rejects_odd_angular_count():
 def test_integrate_values_matches_disk_integral(grid):
     f = lambda x, y: np.cos(x) * np.exp(y)
     assert grid.integrate_values(f(grid.x, grid.y)) == disk_integral(f, grid)
+
+
+def test_plane_wave_from_row_sums_matches_full_grid(grid):
+    # the grid's node arrays go through the phase-sum kernel as an (M, N)
+    # block; its per-row sums contracted with the radial weights give the
+    # integral of the complex exponential evaluated on every node
+    rng = np.random.default_rng(11)
+    radial = 2.0 * grid.r**2 - 1.0
+    for t, s in [(0.0, 0.0), (9.5, 0.0), *rng.uniform(-20.0, 20.0, (10, 2))]:
+        wave = np.exp(1j * (t * grid.x + s * grid.y))
+        row_sums = linear_stat_sums(grid.x, grid.y, t, s)
+        assert abs(grid.integrate_rows(row_sums) - grid.integrate_values(wave)) <= 1e-15
+        weighted = grid.integrate_values(wave * (2.0 * (grid.x**2 + grid.y**2) - 1.0))
+        assert abs(grid.integrate_rows(radial * row_sums) - weighted) <= 1e-15
+
+
+def test_plane_wave_from_row_sums_at_zero_time_is_pi(grid):
+    assert grid.integrate_rows(linear_stat_sums(grid.x, grid.y, 0.0, 0.0)) == math.pi
+
+
+def _real_axis_full_grid(t, s, grid):
+    # the even integrand summed over every node, (1 - cos u)/u^2 through sinc
+    integrand = np.cos(t * grid.x) * (s * s) * 0.5 * np.sinc(s * grid.y / (2.0 * np.pi)) ** 2
+    return grid.integrate_values(integrand) / (4.0 * np.pi)
+
+
+@pytest.mark.parametrize("radial, angular", [(400, 512), (200, 256), (64, 130)])
+def test_real_axis_quarter_grid_matches_full_grid(radial, angular):
+    # 512 and 256 are 0 mod 4; 130 is 2 mod 4 and puts a column on theta = pi/2
+    grid = disk_grid(radial, angular)
+    rng = np.random.default_rng(angular)
+    for t, s in rng.uniform(-32.0, 32.0, (20, 2)):
+        want = _real_axis_full_grid(t, s, grid)
+        assert abs(real_axis_correction_integral(t, s, grid) - want) <= 1e-14
 
 
 # I(t, s) to 30 digits: mpmath quadrature of the angular integral, split into
