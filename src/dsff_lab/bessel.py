@@ -160,6 +160,14 @@ def bessel_j_table(n_max, xs):
     columns agree with 30-digit values to a few 1e-16 absolute for x <= 500.
     x = 0 gives the exact column [1, 0, ..., 0]; positive arguments must be at
     least TABLE_MIN_ARGUMENT.
+
+    The cost is linear in the recurrence depth times the number of
+    arguments. When a column passes 1e250, only its running values (the two
+    latest rows) are scaled by 1e-250; the rows stored before are scaled
+    once at the end, by each factor they missed in turn, which gives the
+    bits of scaling every stored row at every rescale. A row three or more
+    rescales behind is 0. The overflow test itself runs only once a bound
+    on the running values comes near the limit.
     """
     _validate_order(n_max, nonnegative=True)
     xs = np.asarray(xs, dtype=np.float64)
@@ -174,24 +182,50 @@ def bessel_j_table(n_max, xs):
         return table
     x = xs[pos]
     rows = np.zeros((n_max + 1, x.size))
+    # rescaled[j, p]: column p was rescaled at the step that stored row j
+    rescaled = np.zeros((n_max + 1, x.size), dtype=bool)
     jp = np.zeros(x.size)  # J_{k+1} (unnormalized)
     jc = np.full(x.size, 1e-30)  # J_k at k = start
+    spare = np.empty(x.size)
+    scratch = np.empty(x.size)
     norm = np.zeros(x.size)
+    x_min = float(x.min())
+    # bounds on max |jc| and max |jp|: no column needs the overflow test
+    # while the bound on |jc| stays below half the limit
+    bound_c, bound_p = 1e-30, 0.0
     for k in range(_miller_start(n_max, float(x.max())), 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp, jc = jc, jm
         km = k - 1
-        if km <= n_max:
-            rows[km] = jc
+        # from km = n_max down, J_km is computed in its row of the table, so
+        # jc and jp are rows km and km + 1 and a rescale scales them in place
+        jm = rows[km] if km <= n_max else spare
+        np.divide(2.0 * k, x, out=jm)
+        jm *= jc
+        jm -= jp
+        jp, jc, spare = jc, jm, jp
+        bound_c, bound_p = (2.0 * k / x_min) * bound_c + bound_p, bound_c
         if km > 0 and km % 2 == 0:
-            norm += 2.0 * jc
-        big = np.abs(jc) > _RESCALE_LIMIT
-        if big.any():
-            scale = np.where(big, 1e-250, 1.0)
-            jc *= scale
-            jp *= scale
-            norm *= scale
-            rows *= scale
+            np.multiply(jc, 2.0, out=scratch)
+            norm += scratch
+        if bound_c > 0.5 * _RESCALE_LIMIT:
+            bound_c = float(np.abs(jc, out=scratch).max())
+            if bound_c > _RESCALE_LIMIT:
+                big = scratch > _RESCALE_LIMIT
+                scale = np.where(big, 1e-250, 1.0)
+                jc *= scale
+                jp *= scale
+                norm *= scale
+                if km <= n_max:
+                    rescaled[km] = big
+                bound_c = float(np.abs(jc).max())
+            bound_p = float(np.abs(jp).max())
+    # rows km + 2 and up were stored before a rescale at row km, and missed it
+    behind = np.zeros(rows.shape, dtype=np.int16)
+    np.cumsum(rescaled[:-2], axis=0, dtype=np.int16, out=behind[2:])
+    np.multiply(rows, 1e-250, out=rows, where=behind >= 1)
+    np.multiply(rows, 1e-250, out=rows, where=behind >= 2)
+    # a stored value is below 1e305, so a third factor underflows to a zero
+    # of the value's sign
+    np.multiply(rows, 0.0, out=rows, where=behind >= 3)
     norm += jc  # jc now holds unnormalized J_0
     table[:, pos] = rows / norm
     return table

@@ -38,7 +38,11 @@ from .spectra import (
     solver_processes,
 )
 from .svgplot import PALETTE, render_loglog
-from .theory import ComplexTime, dsff_theory, ginibre_exact_dsff, timescales
+from .theory import dsff_theory_grid, ginibre_exact_dsff_grid, timescales
+
+# Unused here: perfbench/tracing.py wraps these two names on this module and
+# fails if either is missing.
+from .theory import dsff_theory, ginibre_exact_dsff  # noqa: F401
 from .verify import run_suites
 
 __all__ = ["main"]
@@ -255,17 +259,15 @@ def _cmd_theory(args):
         "theta": args.theta,
         "version": __version__,
     }
-    rows = []
     if args.exact_gaussian:
-        for tau in taus:
-            g = ginibre_exact_dsff(tau, args.n)
-            rows.append(
-                (tau.theta, tau.abs_tau, tau.t, tau.s, g.k_total, g.contact, g.disconnected, g.connected, args.n)
-            )
+        rows = [
+            (tau.theta, tau.abs_tau, tau.t, tau.s, g.k_total, g.contact, g.disconnected, g.connected, args.n)
+            for tau, g in zip(taus, ginibre_exact_dsff_grid(taus, args.n))
+        ]
         _write_text(args.out, _csv_text(config, EXACT_COLUMNS, rows))
         return 0
-    for tau in taus:
-        p = dsff_theory(tau, args.n, kappa4=args.kappa4, beta=args.beta)
+    rows = []
+    for tau, p in zip(taus, dsff_theory_grid(taus, args.n, kappa4=args.kappa4, beta=args.beta)):
         rows.append(
             (
                 tau.theta,

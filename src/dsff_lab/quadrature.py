@@ -151,7 +151,11 @@ def real_axis_correction_integral(t, s, grid):
     2 (mod 4) puts there. That fold needs an even angular node count (odd
     counts are rejected), and makes the result bitwise even in t and in s.
     (1 - cos(s y))/y^2 is taken as 2 (sin(s y/2)/y)^2: no grid node has
-    y = 0, so s = 0 gives 0 exactly.
+    y = 0, so s = 0 gives 0 exactly. cos(t x) and sin(s y/2) come from the
+    tangents of their half angles, u = tan(t x/2) and v = tan(s y/4), as
+    (1 - u^2)/(1 + u^2) and 2 v/(1 + v^2), for the reason given in
+    kernels.linear_stat_sums: numpy's float64 tan is a SIMD loop, and its
+    cos and sin may not be.
     """
     if grid.angular_nodes % 2 != 0:
         raise ValueError(
@@ -162,17 +166,24 @@ def real_axis_correction_integral(t, s, grid):
     quarter = n // 4  # columns strictly inside (0, pi/2)
     # with n = 2 (mod 4) one more column, number `quarter`, is on theta = pi/2
     x, y = grid.x[:, :(n + 2) // 4], grid.y[:, :(n + 2) // 4]
-    work = np.multiply(y, 0.5 * abs(s))
-    np.sin(work, out=work)
+    work = np.multiply(y, 0.25 * abs(s))
+    np.tan(work, out=work)
+    den = np.multiply(work, work)
+    den += 1.0
+    np.divide(work, den, out=work)  # sin(s y/2) / 2
     np.divide(work, y, out=work)
-    np.multiply(work, work, out=work)
-    values = np.multiply(x, abs(t))
-    np.cos(values, out=values)
-    values *= work  # cos(t x) (1 - cos(s y)) / (2 y^2)
+    np.multiply(work, work, out=work)  # (1 - cos(s y)) / (8 y^2)
+    values = np.multiply(x, 0.5 * abs(t))
+    np.tan(values, out=values)
+    np.multiply(values, values, out=values)
+    np.add(values, 1.0, out=den)
+    np.subtract(1.0, values, out=values)
+    np.divide(values, den, out=values)  # cos(t x)
+    values *= work
     row_sums = 4.0 * values[:, :quarter].sum(axis=1)
     if n % 4:
         row_sums += 2.0 * values[:, quarter]
-    return float(grid.integrate_rows(row_sums)) / (2.0 * np.pi)
+    return float(grid.integrate_rows(row_sums)) * (2.0 / np.pi)
 
 
 @functools.cache
@@ -209,10 +220,29 @@ def real_axis_correction_line(t, s):
     (1 - cos u)/u^2 go through np.sinc, so t = 0 and s = 0 are exact, and
     I is computed from |t| and |s|, which makes it bitwise even in both.
     Equals real_axis_correction_integral(t, s, grid) up to the grid's error.
+
+    t and s may also be 1-D arrays of one length; the result is then the
+    array of I at each (t, s), the points of one panel count taken at once,
+    and each entry has the bits of the scalar call at its point.
     """
-    t, s = abs(t), abs(s)
-    panels = max(1, math.ceil((t + s) / LINE_PANEL_PHASE))
+    if np.ndim(t) == 0 and np.ndim(s) == 0:
+        t, s = abs(t), abs(s)
+        return float(_line_rule(t, s, max(1, math.ceil((t + s) / LINE_PANEL_PHASE))))
+    t, s = np.abs(t), np.abs(s)
+    panels = np.maximum(1, np.ceil((t + s) / LINE_PANEL_PHASE)).astype(np.int64)
+    out = np.empty(t.shape)
+    for count in set(panels.tolist()):
+        pick = panels == count
+        out[pick] = _line_rule(t[pick, None], s[pick, None], count)
+    return out
+
+
+def _line_rule(t, s, panels):
+    """The angular integral of real_axis_correction_line at |t|, |s|.
+
+    t and s are floats, or (P, 1) arrays for P sums along the last axis.
+    """
     cos_phi, sin_phi, weights = quarter_circle_rule(panels)
     chord = cos_phi * np.sinc(t * cos_phi / np.pi)
     integrand = chord * (s * s) * _one_minus_cos_over_sq(s * sin_phi) * cos_phi
-    return float(np.sum(weights * integrand)) / np.pi
+    return np.sum(weights * integrand, axis=-1) / np.pi

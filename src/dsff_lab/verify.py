@@ -26,6 +26,7 @@ from .theory import (
     ComplexTime,
     dsff_simplified,
     dsff_theory,
+    dsff_theory_grid,
     expectation_linear_stat,
     ginibre_exact_dsff,
     timescales,
@@ -358,14 +359,30 @@ def suite_theory():
     )
 
     worst = 0.0
-    for x in (0.0, 0.7, 2.0, 3.1, 9.0, 20.0):
-        for beta, kappa4 in ((2, 0.0), (2, -1.0), (1, 0.0), (1, -2.0)):
-            for theta in (0.0, 0.4, math.pi / 4):
-                v = variance_linear_stat(
-                    ComplexTime.from_polar(x, theta), kappa4=kappa4, beta=beta
-                )
-                worst = min(worst, v)
+    grid_dev = 0.0
+    taus = [
+        ComplexTime.from_polar(x, theta)
+        for x in (0.0, 0.7, 2.0, 3.1, 9.0, 20.0)
+        for theta in (0.0, 0.4, math.pi / 4, math.pi / 2)
+    ]
+    for beta, kappa4 in ((2, 0.0), (2, -2.0), (1, 0.0), (1, -2.0)):
+        points = [dsff_theory(tau, 256, kappa4=kappa4, beta=beta) for tau in taus]
+        worst = min(worst, min(p.v_value for p in points))
+        for p, g in zip(points, dsff_theory_grid(taus, 256, kappa4=kappa4, beta=beta)):
+            for name in ("e_terms", "v_terms"):
+                for key, v in getattr(p, name).items():
+                    grid_dev = max(grid_dev, abs(getattr(g, name)[key] - v) / max(1.0, abs(v)))
+            for v, w in ((p.e_value, g.e_value), (p.v_value, g.v_value), (p.k_total, g.k_total)):
+                grid_dev = max(grid_dev, abs(w - v) / max(1.0, abs(v)))
     checks.append(_check("variance_nonnegative", max(-worst, 0.0), 1e-12, "Var >= 0 on sample grid"))
+    checks.append(
+        _check(
+            "theory_grid_matches_pointwise",
+            grid_dev,
+            1e-12,
+            "dsff_theory_grid = dsff_theory, every term, on the sample grid",
+        )
+    )
 
     dev = 0.0
     for beta in (1, 2):

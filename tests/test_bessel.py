@@ -8,6 +8,7 @@ from scipy.special import jv
 from dsff_lab.bessel import (
     MAX_ORDER,
     TABLE_MIN_ARGUMENT,
+    _miller_start,
     bessel_j,
     bessel_j_row,
     bessel_j_table,
@@ -219,6 +220,60 @@ def test_table_zero_argument_column_is_exact():
     assert table[:, 0].tolist() == [1.0, 0, 0, 0, 0, 0, 0]
     assert table[:, 2].tolist() == [1.0, 0, 0, 0, 0, 0, 0]
     assert table[1, 1] == pytest.approx(bessel_j(1, 2.0), rel=1e-14, abs=0.0)
+
+
+def _table_rescaling_every_row(n_max, xs):
+    """bessel_j_table as it was, scaling every stored row at every rescale.
+
+    The reference for the deferred rescales: O(depth^2 arguments) when the
+    arguments are small, but the same recurrence step by step.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    pos = np.flatnonzero(xs)
+    table = np.zeros((n_max + 1, xs.size))
+    table[0, xs == 0.0] = 1.0
+    x = xs[pos]
+    rows = np.zeros((n_max + 1, x.size))
+    jp = np.zeros(x.size)
+    jc = np.full(x.size, 1e-30)
+    norm = np.zeros(x.size)
+    for k in range(_miller_start(n_max, float(x.max())), 0, -1):
+        jm = (2.0 * k / x) * jc - jp
+        jp, jc = jc, jm
+        km = k - 1
+        if km <= n_max:
+            rows[km] = jc
+        if km > 0 and km % 2 == 0:
+            norm += 2.0 * jc
+        big = np.abs(jc) > 1e250
+        if big.any():
+            scale = np.where(big, 1e-250, 1.0)
+            jc *= scale
+            jp *= scale
+            norm *= scale
+            rows *= scale
+    norm += jc
+    table[:, pos] = rows / norm
+    return table
+
+
+@pytest.mark.parametrize(
+    "n_max, xs",
+    [
+        # log grids reaching x = 300, with arguments at 0 and 1e-40, at the
+        # truncation order and at small orders (rows three rescales behind
+        # are zeros of either sign)
+        (truncation_order(300.0), np.concatenate([[0.0, 1e-40], np.geomspace(1e-30, 300.0, 60)])),
+        (5, np.concatenate([[1e-40, 0.0], np.geomspace(1e-3, 300.0, 40)])),
+        (0, np.geomspace(1e-40, 300.0, 25)),
+        (1, [1e-40]),
+        # one ray of the estimator's shape: r rho for 80 radii on [0.3, 25]
+        (truncation_order(25.0 * 1.02), 1.02 * np.geomspace(0.3, 25.0, 80)),
+    ],
+)
+def test_table_has_the_bits_of_rescaling_every_row(n_max, xs):
+    want = _table_rescaling_every_row(n_max, xs)
+    assert bessel_j_table(n_max, xs).tobytes() == want.tobytes()
 
 
 def test_table_argument_validation():

@@ -272,6 +272,40 @@ def test_theory_tau_grid_default_reaches_past_plateau(tmp_path):
     assert float(rows[-1]["abs_tau"]) == pytest.approx(20.0, rel=1e-12, abs=0.0)  # 2 sqrt(N)
 
 
+@pytest.mark.parametrize("beta", ["1", "2", "exact"])
+def test_one_point_theory_has_the_bits_of_the_pointwise_route(tmp_path, beta):
+    from dsff_lab.theory import dsff_theory, ginibre_exact_dsff
+
+    out = str(tmp_path / "one.csv")
+    flags = ["--exact-gaussian"] if beta == "exact" else ["--beta", beta, "--kappa4", "-1.5"]
+    assert main(["theory", "--n", "64", *flags, "--theta", "0.3", "--tau-min", "2.5",
+                 "--tau-max", "2.5", "--points", "1", "--out", out]) == 0
+    _, (row,) = _read_rows(out)
+    (tau,) = build_tau_grid(0.3, 2.5, 2.5, 1)
+    if beta == "exact":
+        g = ginibre_exact_dsff(tau, 64)
+        want = [g.k_total, g.contact, g.disconnected, g.connected]
+        got = [row[c] for c in ("k_total", "contact", "disconnected", "connected")]
+    else:
+        p = dsff_theory(tau, 64, kappa4=-1.5, beta=int(beta))
+        want = [p.k_total, p.disconnected, p.connected, *p.e_terms.values(), *p.v_terms.values()]
+        got = [row[c] for c in cli.THEORY_COLUMNS[4:15]]
+    assert got == [repr(float(v)) for v in want]
+
+
+def test_theory_beyond_bessel_range_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "beyond.csv"
+    argv = ["theory", "--n", "256", "--tau-min", "25000", "--tau-max", "25000", "--points", "1"]
+    assert _exit_code(argv + ["--out", str(out)]) == 2
+    assert "max_order" in capsys.readouterr().err
+    assert not out.exists()
+    # a grid whose last point is out of range fails the same way
+    assert _exit_code(["theory", "--n", "256", "--tau-min", "1", "--tau-max", "25000",
+                       "--points", "40", "--out", str(out)]) == 2
+    assert "max_order" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _exit_code(argv):
     """main's exit status, including argparse's SystemExit."""
     try:

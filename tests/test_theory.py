@@ -2,12 +2,18 @@ import math
 
 import pytest
 
+from dsff_lab import theory
+from dsff_lab.bessel import TABLE_MIN_ARGUMENT
+from dsff_lab.estimator import build_tau_grid
+from dsff_lab.quadrature import LINE_PANEL_PHASE
 from dsff_lab.theory import (
     ComplexTime,
     dsff_simplified,
     dsff_theory,
+    dsff_theory_grid,
     expectation_linear_stat,
     ginibre_exact_dsff,
+    ginibre_exact_dsff_grid,
     timescales,
     variance_linear_stat,
 )
@@ -72,11 +78,15 @@ def test_dsff_theory_frozen_value():
 
 
 @pytest.mark.parametrize("beta", [1, 2])
-def test_theory_evaluates_at_large_tau(beta):
+def test_theory_evaluates_at_large_tau(beta, monkeypatch):
     # inside the documented range, which ends at |tau| = 19,575 (and at
     # |s| = 9,838 for beta 1)
-    p = dsff_theory(ComplexTime.from_polar(15_000.0, 0.3), 256, kappa4=-1.0, beta=beta)
+    tau = ComplexTime.from_polar(15_000.0, 0.3)
+    p = dsff_theory(tau, 256, kappa4=-1.0, beta=beta)
     assert math.isfinite(p.k_total)
+    # two points this deep do not pay for a table
+    taus = [ComplexTime.from_polar(14_000.0, 0.3), tau]
+    assert _grid_matches_pointwise(monkeypatch, taus, 256, -1.0, beta) == 0
 
 
 def test_j1_over_x_at_subnormal_argument():
@@ -181,3 +191,88 @@ def test_timescales():
     assert ts.tau_hei == pytest.approx(32.0, rel=1e-15, abs=0.0)
     with pytest.raises(ValueError):
         timescales(0)
+
+
+# ---------------------------------------------------------------------------
+# the grid route against the per-point route
+
+
+def _grid_matches_pointwise(monkeypatch, taus, n, kappa4, beta):
+    """Assert dsff_theory_grid = dsff_theory to 1e-13 max(1, |v|) in every
+    term; return the number of bessel_j_table calls the grid made."""
+    tables = []
+    table = theory.bessel_j_table
+    monkeypatch.setattr(theory, "bessel_j_table", lambda *a: tables.append(a) or table(*a))
+    grid = dsff_theory_grid(taus, n, kappa4=kappa4, beta=beta)
+    assert len(grid) == len(taus)
+    for tau, g in zip(taus, grid):
+        p = dsff_theory(tau, n, kappa4=kappa4, beta=beta)
+        assert g.tau is tau and g.validity_warning == p.validity_warning
+        pairs = [(p.e_value, g.e_value), (p.v_value, g.v_value), (p.k_total, g.k_total)]
+        pairs += [(v, g.e_terms[key]) for key, v in p.e_terms.items()]
+        pairs += [(v, g.v_terms[key]) for key, v in p.v_terms.items()]
+        for want, got in pairs:
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (tau, want, got)
+    return len(tables)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("kappa4", [0.0, -2.0])
+def test_grid_from_tau_zero(monkeypatch, beta, kappa4):
+    taus = build_tau_grid(0.6, 0.0, 30.0, 80, "linear")
+    assert taus[0].abs_tau == 0.0
+    assert _grid_matches_pointwise(monkeypatch, taus, 256, kappa4, beta) >= 1
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_grid_below_table_min_argument(monkeypatch, beta):
+    # the first ~half of the points lie below TABLE_MIN_ARGUMENT, which a
+    # table refuses: they take the per-point route, and nothing raises
+    taus = build_tau_grid(0.5, 1e-300, 30.0, 120)
+    assert taus[0].abs_tau < TABLE_MIN_ARGUMENT < taus[-1].abs_tau
+    assert _grid_matches_pointwise(monkeypatch, taus, 256, -1.0, beta) >= 1
+    _exact_grid_matches_pointwise(taus)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+def test_grid_on_the_axes_beta_one(monkeypatch, theta):
+    # t = 0 (up to rounding) on theta = pi/2, s = 0 on theta = 0
+    taus = build_tau_grid(theta, 0.01, 40.0, 60)
+    assert _grid_matches_pointwise(monkeypatch, taus, 128, -2.0, 1) >= 1
+
+
+def test_grid_block_crossing_two_panel_counts(monkeypatch):
+    # |t| + |s| runs from 71 to 212 on this ray, so one table block holds
+    # points of one and of two real-axis panels
+    taus = build_tau_grid(math.pi / 4, 50.0, 150.0, 60, "linear")
+    panels = {max(1, math.ceil((abs(tau.t) + abs(tau.s)) / LINE_PANEL_PHASE)) for tau in taus}
+    assert panels == {1, 2}
+    assert _grid_matches_pointwise(monkeypatch, taus, 256, -1.0, 1) == 1
+
+
+def test_one_point_grid_has_the_bits_of_dsff_theory():
+    for tau in (ComplexTime(0.0, 0.0), ComplexTime(5e-324, 0.0), ComplexTime.from_polar(2.5, 0.3),
+                ComplexTime.from_polar(900.0, 1.1)):
+        for beta in (1, 2):
+            assert dsff_theory_grid([tau], 64, kappa4=-1.0, beta=beta) == [dsff_theory(tau, 64, -1.0, beta)]
+        assert ginibre_exact_dsff_grid([tau], 64) == [ginibre_exact_dsff(tau, 64)]
+
+
+def test_empty_grid():
+    assert dsff_theory_grid([], 8) == []
+    assert ginibre_exact_dsff_grid([], 8) == []
+
+
+def _exact_grid_matches_pointwise(taus):
+    for tau, g in zip(taus, ginibre_exact_dsff_grid(taus, 256)):
+        want = ginibre_exact_dsff(tau, 256)
+        assert g.contact == want.contact and g.connected == want.connected
+        assert abs(g.disconnected - want.disconnected) <= 1e-13 * max(1.0, abs(want.disconnected))
+
+
+def test_exact_grid_matches_pointwise(monkeypatch):
+    tables = []
+    table = theory.bessel_j_table
+    monkeypatch.setattr(theory, "bessel_j_table", lambda *a: tables.append(a) or table(*a))
+    _exact_grid_matches_pointwise(build_tau_grid(0.0, 0.1, 32.0, 60))
+    assert len(tables) == 1

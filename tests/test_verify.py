@@ -41,6 +41,7 @@ CHECK_NAMES = {
         "reflection_invariance_real",
         "kappa4_coefficient_dual_route",
         "variance_nonnegative",
+        "theory_grid_matches_pointwise",
         "expectation_tau0_equals_n",
         "dsff_tau0_unity",
         "simplified_tracks_full_5pct",
@@ -73,7 +74,7 @@ def test_check_names_are_pinned(report):
     assert list(SUITES) == list(CHECK_NAMES)
     for suite, names in CHECK_NAMES.items():
         assert [c["name"] for c in report["suites"][suite]] == names
-    assert sum(map(len, CHECK_NAMES.values())) == 48
+    assert sum(map(len, CHECK_NAMES.values())) == 49
 
 
 def test_synthetic_bias_check_keeps_its_draws(report):
