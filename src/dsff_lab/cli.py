@@ -315,7 +315,8 @@ def _cmd_compare(args):
         )
     merged = []
     for i, (er, tr) in enumerate(zip(est_rows, thy_rows)):
-        if abs(er["t"] - tr["t"]) > 1e-9 or abs(er["s"] - tr["s"]) > 1e-9:
+        # written so that a NaN coordinate is a mismatch
+        if not (abs(er["t"] - tr["t"]) <= 1e-9 and abs(er["s"] - tr["s"]) <= 1e-9):
             raise GridMismatchError(
                 f"grid mismatch at row {i}: estimate tau=({er['t']},{er['s']}) "
                 f"vs theory tau=({tr['t']},{tr['s']})"

@@ -61,7 +61,7 @@ class EnsembleSpec:
             raise ValueError(
                 f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}"
             )
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
     @property

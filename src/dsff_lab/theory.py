@@ -9,36 +9,23 @@ fourth-cumulant correction kappa4), the resulting form-factor prediction, its
 simplified large-tau form, and the exact asymptotic for the gaussian complex
 ensemble.
 
-Every Bessel value comes from the bessel module. At one point, `dsff_theory`
-takes J_0, J_1, J_3 and the weighted series at |tau| from one
-`bessel_j_row(truncation_order(|tau|), |tau|)`, and for beta=1 one row more
-each for J_0(|t|) and J_1(2|s|). `dsff_theory_grid` and
-`ginibre_exact_dsff_grid` take the points in |tau| order in blocks; each
-block that pays for it gets all its Bessel values from one
-`bessel_j_table` call, and the other points go through the per-point rows.
-Both routes then compute the terms by one formula, `_terms`, on floats at
-one point and on arrays over a grid, so they differ only in where the
-Bessel values come from. The beta=1 expectation correction needs one
-angular quadrature (quadrature.real_axis_correction_line), which the grid
-takes over all its points at once.
+Every Bessel value of a grid of points comes from one
+bessel.bessel_j_columns call: J_0..J_K(|tau|) with K = truncation_order(|tau|)
+and, at beta=1, J_0(|t|) and J_1(2|s|); bessel decides which come from a
+table and which from a row. `dsff_theory` and `ginibre_exact_dsff` are
+their grid functions at one point. One formula, `_terms`, gives the terms
+over all points at once, and so does the angular quadrature of the beta=1
+expectation correction (quadrature.real_axis_correction_line).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import (
-    _MILLER_PAD,
-    TABLE_MIN_ARGUMENT,
-    _miller_start,
-    _weight_values,
-    bessel_j,
-    bessel_j_row,
-    bessel_j_table,
-    truncation_order,
-)
+from .bessel import TABLE_MIN_ARGUMENT, _weight_values, bessel_j, bessel_j_columns, truncation_order
 from .quadrature import real_axis_correction_line
 
 # Unused here: perfbench/tracing.py wraps weighted_bessel_series and
@@ -61,20 +48,6 @@ __all__ = [
     "ginibre_exact_dsff_grid",
     "timescales",
 ]
-
-# A block of points gets one bessel_j_table call when the per-point work it
-# replaces, counted in scalar recurrence steps (truncation_order + the Miller
-# pad per row), is at least this many times the table's depth. Fitted: one
-# table step over 2 to 8 columns took 1.9-4.7 us, and the whole per-point
-# route 0.18-0.61 us per step counted so, for break-even ratios of 7 to 16
-# at beta=2 and 9 to 19 at beta=1, for |tau| from 1 to 15,000 (2-vCPU Xeon,
-# numpy 2.4.6).
-_TABLE_STEP_COST = 12
-# Most entries, orders times arguments, that one table holds: 512 KiB of
-# float64, so a block's few table-sized arrays stay in a 2 MiB L2 cache and
-# a table step costs about the same whatever the block's size.
-_TABLE_ELEMENTS = 1 << 16
-
 
 @dataclass(frozen=True)
 class ComplexTime:
@@ -118,7 +91,7 @@ class ComplexTime:
 
 # ---------------------------------------------------------------------------
 # removable singularities: the exact limit at 0, the direct ratio elsewhere.
-# Each takes the Bessel value, as a float or as an array over points.
+# Each takes the Bessel value and works elementwise on arrays over points.
 
 
 def _j1_over_x(x, j1):
@@ -127,24 +100,18 @@ def _j1_over_x(x, j1):
     Below TABLE_MIN_ARGUMENT the limit is the value in double precision, and
     the quotient would lose it for a subnormal x, where J_1(x) = x/2 rounds.
     """
-    if np.ndim(x) == 0:
-        return 0.5 if x < TABLE_MIN_ARGUMENT else j1 / x
-    return np.divide(j1, x, out=np.full(x.shape, 0.5), where=x >= TABLE_MIN_ARGUMENT)
+    return np.divide(j1, x, out=np.full(np.shape(x), 0.5), where=x >= TABLE_MIN_ARGUMENT)
 
 
 def _j3_over_x(x, j3):
     """J_3(x)/x from J_3(x), with its limit 0 at x = 0."""
-    if np.ndim(x) == 0:
-        return 0.0 if x == 0.0 else j3 / x
-    return np.divide(j3, x, out=np.zeros(x.shape), where=x > 0.0)
+    return np.divide(j3, x, out=np.zeros(np.shape(x)), where=x > 0.0)
 
 
 def _j1_2s_over_s(s, j1_2s):
     """J_1(2|s|)/|s| from J_1(2|s|), with its limit 1 at s = 0 (even in s)."""
     s = abs(s)
-    if np.ndim(s) == 0:
-        return 1.0 if s == 0.0 else j1_2s / s
-    return np.divide(j1_2s, s, out=np.ones(s.shape), where=s > 0.0)
+    return np.divide(j1_2s, s, out=np.ones(np.shape(s)), where=s > 0.0)
 
 
 def _validate(n, beta=2):
@@ -154,99 +121,56 @@ def _validate(n, beta=2):
         raise ValueError(f"beta must be 1 (real) or 2 (complex), got {beta!r}")
 
 
-# ---------------------------------------------------------------------------
-# Bessel values: one row per point, or one table per block of points
-
-
 _SERIES_WEIGHT = {1: "abs_k_sin_sq", 2: "abs_k"}
 
 
-def _series(rows, phi, beta):
-    """sum over k != 0 of w(k) J_k^2 from J_1..J_K along the last axis of rows.
+def _series(columns, orders, beta, phi):
+    """Per point, sum over k != 0 of w(k) J_k(|tau|)^2.
 
-    The weight is |k| at beta=2 and |k| sin^2(phi k) at beta=1
-    (bessel._weight_values); both are even in k, so the sum is twice the
-    sum over k >= 1. rows (P, K) with phi (P, 1) gives P sums.
+    Column p of columns holds J_0..J_K(|tau_p|), K = orders[p]. The weight
+    is |k| at beta=2 and |k| sin^2(phi k) at beta=1, phi holding the
+    points' angles (bessel._weight_values); both are even in k,
+    so the sum is twice the sum over k >= 1. A run of consecutive points
+    (a stretch of a ray) is summed at once when their K share
+    int(4 log2(max(K, 128))); each point then takes as many terms as the
+    largest K of the run (past its own K, zeros or a table's further J_k,
+    below 1e-19). So no sum takes more than 128 or 2^(1/4) times its own
+    terms, and one point's sum takes exactly its own.
     """
-    k = np.arange(1, rows.shape[-1] + 1)
-    return 2.0 * np.sum(_weight_values(_SERIES_WEIGHT[beta], k, phi) * rows**2, axis=-1)
-
-
-def _point_values(tau, beta):
-    """(J_0, J_1, J_3, series, J_0(|t|), J_1(2|s|)) at one point, as floats.
-
-    The first four come from one bessel_j_row(truncation_order(|tau|),
-    |tau|); the last two are computed at beta=1 only (0 otherwise).
-    """
-    x = tau.abs_tau
-    row = bessel_j_row(truncation_order(x), x)
-    values = (float(row[0]), float(row[1]), float(row[3]), float(_series(row[1:], tau.phi, beta)))
-    if beta == 2:
-        return values + (0.0, 0.0)
-    return values + (bessel_j(0, abs(tau.t)), bessel_j(1, 2.0 * abs(tau.s)))
-
-
-def _plan(args, orders, work):
-    """Split the points into table blocks and points for the per-point route.
-
-    args (P, m) holds each point's Bessel arguments, |tau| first; orders (P,)
-    the highest order each point needs, nondecreasing in |tau|; work (P,)
-    the recurrence steps of the point's rows on the per-point route. Points
-    are taken in |tau| order from the top. A block is the largest point left
-    and as many below it as _TABLE_ELEMENTS allows; it gets one
-    bessel_j_table call when the work it replaces reaches _TABLE_STEP_COST
-    times the table's depth. Otherwise its top point goes to the per-point
-    route, as does every block of one point and every point with an argument
-    in (0, TABLE_MIN_ARGUMENT), which a table refuses. Returns (list of
-    index arrays, list of indices).
-    """
-    by_tau = np.argsort(args[:, 0], kind="stable")
-    tiny = ((args > 0.0) & (args < TABLE_MIN_ARGUMENT)).any(axis=1)[by_tau]
-    singles = by_tau[tiny].tolist()
-    fit = by_tau[~tiny]
-    done = np.concatenate([[0], np.cumsum(work[fit])])
-    blocks = []
-    hi = fit.size
-    while hi > 0:
-        n_max = int(orders[fit[hi - 1]])
-        lo = max(0, hi - _TABLE_ELEMENTS // ((n_max + 1) * args.shape[1]))
-        if hi - lo >= 2:
-            depth = _miller_start(n_max, float(args[fit[lo:hi]].max()))
-            if done[hi] - done[lo] >= _TABLE_STEP_COST * depth:
-                blocks.append(fit[lo:hi])
-                hi = lo
-                continue
-        hi -= 1
-        singles.append(int(fit[hi]))
-    return blocks, singles
-
-
-# ---------------------------------------------------------------------------
-# the terms, from floats at one point or from arrays over a grid
+    series = np.empty(len(orders))
+    lo = 0
+    for _, run in itertools.groupby(orders, lambda order: int(4.0 * math.log2(max(order, 128)))):
+        run = list(run)
+        hi, top = lo + len(run), max(run)
+        angles = None if phi is None else phi[lo:hi, None]
+        weights = _weight_values(_SERIES_WEIGHT[beta], np.arange(1, top + 1), angles)
+        series[lo:hi] = 2.0 * np.add.reduce(weights * columns[1 : top + 1, lo:hi].T ** 2, axis=-1)
+        lo = hi
+    return series
 
 
 def _terms(x, bessel, n, kappa4, beta, real):
     """(e_terms, v_terms): the terms of E[L]/N and of Var(L) at |tau| = x.
 
-    bessel is (J_0(x), J_1(x)/x, J_3(x)/x, series); at beta=1, real is
-    (I(t, s), J_0(|t|), cos t, t^2 - s^2, J_1(2|s|)/|s|). Every value is a
-    float, or every one an array over points: the same arithmetic then runs
-    elementwise and gives the same bits.
+    x is an array over points; bessel is (J_0(x), J_1(x)/x, J_3(x)/x,
+    series) and, at beta=1, real is (I(t, s), J_0(|t|), cos t, t^2 - s^2,
+    J_1(2|s|)/|s|), arrays of the same length. Every term is such an array.
     """
     j0, j1x, j3x, series = bessel
+    zero, xx, leading = np.zeros(x.shape), x * x, 2.0 * j1x
     e_terms = {
-        "leading": 2.0 * j1x,
-        "laplacian": -x * x * j1x / (4.0 * n),
+        "leading": leading,
+        "laplacian": -xx * j1x / (4.0 * n),
         "kappa4": 4.0 * kappa4 * j3x / n,
-        "real_axis": 0.0,
+        "real_axis": zero,
     }
-    v_terms = {"gradient": x * x / 4.0, "real_ramp": 0.0, "series": 0.5 * series}
+    v_terms = {"gradient": xx / 4.0, "real_ramp": zero, "series": 0.5 * series}
     if beta == 1:
         line, j0_t, cos_t, ramp, j1_2s_over_s = real
         e_terms["real_axis"] = (line - j0 + j0_t / 2.0 + cos_t / 2.0) / n
         v_terms["real_ramp"] = ramp * j1_2s_over_s / 4.0
         v_terms["series"] = series
-    coeff = 2.0 * j1x - j0
+    coeff = leading - j0
     v_terms["kappa4"] = kappa4 * (coeff * coeff)
     return e_terms, v_terms
 
@@ -297,100 +221,65 @@ class TheoryPrediction:
         return self.disconnected + self.connected
 
 
-def _prediction(tau, n, kappa4, beta, e_terms, v_terms):
-    return TheoryPrediction(
-        tau=tau,
-        n=n,
-        beta=beta,
-        kappa4=kappa4,
-        e_value=sum(e_terms.values()),
-        v_value=sum(v_terms.values()),
-        e_terms=e_terms,
-        v_terms=v_terms,
-        validity_warning=tau.abs_tau > n ** (2.0 / 7.0),
-    )
-
-
 def dsff_theory(tau, n, kappa4=0.0, beta=2):
     """Form-factor prediction K = (E[L]/N)^2 + Var(L)/N^2 with term breakdown.
 
     validity_warning flags |tau| beyond N^(2/7), the proven range; the
     formula is expected to track the truth until |tau| ~ sqrt(N) and to
-    overshoot beyond it (no plateau saturation). The Bessel values come from
-    one row at |tau| (and at beta=1 one each at |t| and 2|s|): the route
-    dsff_theory_grid takes at points that do not pay for a table, and the
-    one `verify` checks the grid against.
+    overshoot beyond it (no plateau saturation). This is dsff_theory_grid
+    at the one point tau.
     """
-    _validate(n, beta)
-    x = tau.abs_tau
-    j0, j1, j3, series, j0_t, j1_2s = _point_values(tau, beta)
-    real = None
-    if beta == 1:
-        real = (
-            real_axis_correction_line(tau.t, tau.s),
-            j0_t,
-            math.cos(tau.t),
-            tau.t**2 - tau.s**2,
-            _j1_2s_over_s(tau.s, j1_2s),
-        )
-    bessel = (j0, _j1_over_x(x, j1), _j3_over_x(x, j3), series)
-    return _prediction(tau, n, kappa4, beta, *_terms(x, bessel, n, kappa4, beta, real))
+    return dsff_theory_grid([tau], n, kappa4=kappa4, beta=beta)[0]
 
 
 def dsff_theory_grid(taus, n, kappa4=0.0, beta=2):
     """dsff_theory at every ComplexTime of taus, as a list in the same order.
 
-    The points are taken in |tau| order in blocks (see _plan). A block that
-    pays for it gets J_0..J_K(|tau_p|), K the truncation order of its
-    largest |tau|, and at beta=1 also J_0(|t_p|) and J_1(2|s_p|), from one
-    bessel_j_table call; every other point goes through dsff_theory's rows,
-    and a one-point grid gives dsff_theory's bits. The terms are computed
-    for all points at once, the real-axis integral included.
+    One bessel_j_columns call gives J_0..J_K(|tau_p|), K the truncation
+    order of |tau_p|, and at beta=1 also J_0(|t_p|) and J_1(2|s_p|); it
+    decides which columns share a table. A one-point grid has at most three
+    columns, too few to pay for a table, so it takes the rows of
+    bessel_j_row. The terms are then computed for all points at once, the
+    real-axis integral included.
     """
     _validate(n, beta)
     taus = list(taus)
-    if beta == 2:
-        args = np.array([[tau.abs_tau] for tau in taus]).reshape(-1, 1)
-    else:
-        args = np.array([[tau.abs_tau, abs(tau.t), 2.0 * abs(tau.s)] for tau in taus]).reshape(-1, 3)
-    x = args[:, 0]
-    orders = np.array([truncation_order(v) for v in x.tolist()], dtype=np.int64)
-    # a row of the per-point route is about truncation_order(|tau|) deep,
-    # plus the recurrence's start above the orders it keeps
-    blocks, singles = _plan(args, orders, args.shape[1] * (orders + _MILLER_PAD))
-    values = np.zeros((6, x.size))  # the six of _point_values, per point
-    for block in blocks:
-        size = block.size
-        table = bessel_j_table(int(orders[block].max()), args[block].T.ravel())
-        values[0, block] = table[0, :size]
-        values[1, block] = table[1, :size]
-        values[2, block] = table[3, :size]
-        phi = np.array([taus[i].phi for i in block.tolist()])[:, None] if beta == 1 else None
-        values[3, block] = _series(np.ascontiguousarray(table[1:, :size].T), phi, beta)
-        if beta == 1:
-            values[4, block] = table[0, size:2 * size]
-            values[5, block] = table[1, 2 * size:]
-    for i in singles:
-        values[:, i] = _point_values(taus[i], beta)
-    j0, j1, j3, series, j0_t, j1_2s = values
-    real = None
+    if not taus:
+        return []
+    size = len(taus)
+    x, t, s = np.array([(tau.abs_tau, tau.t, tau.s) for tau in taus]).T
+    args = x.tolist()
+    orders = [truncation_order(v) for v in args]
     if beta == 1:
-        t = np.array([tau.t for tau in taus])
-        s = np.array([tau.s for tau in taus])
-        real = (
-            real_axis_correction_line(t, s),
-            j0_t,
-            np.array([math.cos(tau.t) for tau in taus]),
-            np.array([tau.t**2 - tau.s**2 for tau in taus]),
-            _j1_2s_over_s(s, j1_2s),
-        )
-    bessel = (j0, _j1_over_x(x, j1), _j3_over_x(x, j3), series)
+        args += np.abs(t).tolist() + (2.0 * np.abs(s)).tolist()
+        orders += [0] * size + [1] * size
+    columns = bessel_j_columns(orders, args)
+    real = phi = None
+    if beta == 1:
+        phi, cos_t, ramp = np.array([(tau.phi, math.cos(tau.t), tau.t**2 - tau.s**2) for tau in taus]).T
+        j1_2s_over_s = _j1_2s_over_s(s, columns[1, 2 * size :])
+        real = (real_axis_correction_line(t, s), columns[0, size : 2 * size], cos_t, ramp, j1_2s_over_s)
+    series = _series(columns, orders[:size], beta, phi)
+    j1x = _j1_over_x(x, columns[1, :size])
+    bessel = (columns[0, :size], j1x, _j3_over_x(x, columns[3, :size]), series)
     e_terms, v_terms = _terms(x, bessel, n, kappa4, beta, real)
-    e_cols = [(key, np.broadcast_to(col, x.shape).tolist()) for key, col in e_terms.items()]
-    v_cols = [(key, np.broadcast_to(col, x.shape).tolist()) for key, col in v_terms.items()]
+    # every term as a row of one array, read out by one tolist per part
+    values = np.array([*e_terms.values(), *v_terms.values()])
+    e_points, v_points = values[: len(e_terms)].T.tolist(), values[len(e_terms) :].T.tolist()
+    warnings = (x > n ** (2.0 / 7.0)).tolist()
     return [
-        _prediction(tau, n, kappa4, beta, {k: c[i] for k, c in e_cols}, {k: c[i] for k, c in v_cols})
-        for i, tau in enumerate(taus)
+        TheoryPrediction(
+            tau=tau,
+            n=n,
+            beta=beta,
+            kappa4=kappa4,
+            e_value=sum(e),
+            v_value=sum(v),
+            e_terms=dict(zip(e_terms, e)),
+            v_terms=dict(zip(v_terms, v)),
+            validity_warning=warning,
+        )
+        for tau, e, v, warning in zip(taus, e_points, v_points, warnings)
     ]
 
 
@@ -407,7 +296,7 @@ def dsff_simplified(tau, n, beta=2):
     j1x = _j1_over_x(x, bessel_j(1, x))
     j1_2s_over_s = _j1_2s_over_s(tau.s, bessel_j(1, 2.0 * abs(tau.s)))
     aniso = (2.0 / beta - 1.0) * (tau.t**2 - tau.s**2) * j1_2s_over_s / 4.0
-    return 4.0 * j1x * j1x + (x * x / 4.0 + aniso) / n**2
+    return float(4.0 * j1x * j1x + (x * x / 4.0 + aniso) / n**2)
 
 
 @dataclass(frozen=True)
@@ -423,43 +312,35 @@ class GinibreDsff:
         return self.contact + self.disconnected + self.connected
 
 
-def _ginibre(x, j1x, n):
-    return GinibreDsff(
-        contact=1.0 / n,
-        disconnected=4.0 * j1x * j1x,
-        connected=-math.exp(-x * x / (4.0 * n)) / n,
-    )
-
-
 def ginibre_exact_dsff(tau, n):
     """K = 1/N + 4 J_1(|tau|)^2/|tau|^2 - exp(-|tau|^2/(4N))/N.
 
     K(0) = 1 exactly; the plateau at large |tau| is the contact term 1/N.
     The (negative) exponential term cancels the contact at tau = 0 and decays
     as the connected part ramps up; contact + connected is the counterpart of
-    the estimator's variance-based connected component.
+    the estimator's variance-based connected component. This is
+    ginibre_exact_dsff_grid at the one point tau.
     """
-    _validate(n)
-    x = tau.abs_tau
-    return _ginibre(x, _j1_over_x(x, bessel_j(1, x)), n)
+    return ginibre_exact_dsff_grid([tau], n)[0]
 
 
 def ginibre_exact_dsff_grid(taus, n):
     """ginibre_exact_dsff at every ComplexTime of taus, as a list in order.
 
-    J_1(|tau|) comes from one bessel_j_table call per block of points that
-    pays for it and from bessel_j elsewhere, by the rule of dsff_theory_grid.
+    J_1(|tau|) comes from one bessel_j_columns call, which decides which
+    points share a table.
     """
     _validate(n)
-    x = np.array([tau.abs_tau for tau in taus], dtype=np.float64)
-    work = np.array([truncation_order(v) + _MILLER_PAD for v in x.tolist()], dtype=np.int64)
-    blocks, singles = _plan(x[:, None], np.ones(x.size, dtype=np.int64), work)
-    j1 = np.zeros(x.size)
-    for block in blocks:
-        j1[block] = bessel_j_table(1, x[block])[1]
-    for i in singles:
-        j1[i] = bessel_j(1, float(x[i]))
-    return [_ginibre(v, r, n) for v, r in zip(x.tolist(), _j1_over_x(x, j1).tolist())]
+    args = [tau.abs_tau for tau in taus]
+    if not args:
+        return []
+    x = np.array(args)
+    j1x = _j1_over_x(x, bessel_j_columns([1] * x.size, args)[1])
+    contact, four_n = 1.0 / n, 4.0 * n
+    return [
+        GinibreDsff(contact, disconnected, -math.exp(-v * v / four_n) / n)
+        for v, disconnected in zip(args, (4.0 * j1x * j1x).tolist())
+    ]
 
 
 @dataclass(frozen=True)

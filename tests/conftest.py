@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from dsff_lab import bessel
 from dsff_lab.ensembles import EnsembleSpec
 from dsff_lab.spectra import _usable_cpus, load_spectra, sample_spectra, save_spectra
 
@@ -30,6 +31,15 @@ def cached_spectra(field, distribution, n, m, master_seed):
     sset = sample_spectra(spec, m, master_seed, parallelism=_usable_cpus())
     save_spectra(sset, str(path))
     return load_spectra(str(path))
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """A list that records the arguments of every bessel_j_table call."""
+    calls = []
+    table = bessel.bessel_j_table
+    monkeypatch.setattr(bessel, "bessel_j_table", lambda *a: calls.append(a) or table(*a))
+    return calls
 
 
 @pytest.fixture(scope="session")

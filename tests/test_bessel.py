@@ -10,6 +10,7 @@ from dsff_lab.bessel import (
     TABLE_MIN_ARGUMENT,
     _miller_start,
     bessel_j,
+    bessel_j_columns,
     bessel_j_row,
     bessel_j_table,
     truncation_order,
@@ -274,6 +275,93 @@ def _table_rescaling_every_row(n_max, xs):
 def test_table_has_the_bits_of_rescaling_every_row(n_max, xs):
     want = _table_rescaling_every_row(n_max, xs)
     assert bessel_j_table(n_max, xs).tobytes() == want.tobytes()
+
+
+def _row_rescaling_every_entry(n_max, x):
+    """bessel_j_row as it was, scaling every stored entry at every rescale."""
+    start = _miller_start(n_max, x)
+    row = [0.0] * (n_max + 1)
+    jp, jc = 0.0, 1e-30
+    evens = 0.0
+    for k in range(start, 0, -1):
+        jp, jc = jc, (2.0 * k / x) * jc - jp
+        if k & 1:
+            evens += jc
+        if k <= n_max + 1:
+            row[k - 1] = jc
+        if abs(jc) > 1e250:
+            jc *= 1e-250
+            jp *= 1e-250
+            evens *= 1e-250
+            row = [v * 1e-250 for v in row]
+    return np.array(row) / (2.0 * evens - jc)
+
+
+@pytest.mark.parametrize(
+    "n_max, x",
+    # high orders at small arguments rescale hundreds of times, and leave
+    # entries three or more rescales behind; truncation-order rows rescale
+    # rarely or never
+    [(2000, 0.5), (8000, 0.5), (MAX_ORDER - 30, 1e-3), (500, 1e-40), (3000, 2e-20), (40, TABLE_MIN_ARGUMENT)]
+    + [(truncation_order(x), x) for x in (1e-3, 0.3, 7.7, 60.0, 1000.0, 15_000.0)],
+)
+def test_row_has_the_bits_of_rescaling_every_entry(n_max, x):
+    assert bessel_j_row(n_max, x).tobytes() == _row_rescaling_every_entry(n_max, x).tobytes()
+
+
+def test_columns_from_rows_have_the_bits_of_bessel_j_row(table_calls):
+    # too few columns to pay for a table, with the subnormal, tiny and zero
+    # arguments next to ordinary ones
+    orders = [30, 0, 1, 12, 5, 70, 3]
+    xs = [2.5, 0.0, 5e-324, 1e-300, 0.7, 40.0, 1.0]
+    got = bessel_j_columns(orders, xs)
+    assert table_calls == [] and got.shape == (71, 7) and got.flags.f_contiguous
+    for p, (n, x) in enumerate(zip(orders, xs)):
+        assert got[: n + 1, p].tobytes() == bessel_j_row(n, x).tobytes()
+        assert not got[n + 1 :, p].any()
+
+
+def test_columns_from_tables_have_the_bits_of_bessel_j_table(table_calls):
+    # one ray of truncation-order columns plus order-0 and order-1 columns
+    # at other arguments: one block, one table; the arguments below
+    # TABLE_MIN_ARGUMENT take rows
+    xs = np.geomspace(0.1, 30.0, 40).tolist()
+    orders = [truncation_order(x) for x in xs] + [0] * 20 + [1] * 20 + [2, 2]
+    xs = xs + [0.5 * x for x in xs[::2]] + [1.5 * x for x in xs[1::2]] + [5e-324, 1e-300]
+    got = bessel_j_columns(orders, xs)
+    assert len(table_calls) == 1
+    n_max, block = table_calls[0]
+    assert n_max == max(orders) and len(block) == len(xs) - 2
+    want = bessel_j_table(n_max, block)
+    for j, x in enumerate(block.tolist()):
+        p = xs.index(x)
+        assert got[:, p].tobytes() == want[:, j].tobytes()
+    for p in (len(xs) - 2, len(xs) - 1):
+        assert got[:3, p].tobytes() == bessel_j_row(2, xs[p]).tobytes()
+
+
+def test_columns_of_a_grid_that_does_not_pay_for_a_table(table_calls):
+    # arguments this deep replace fewer rows than a table costs: every
+    # column is a row
+    xs = [14_000.0 + 100.0 * i for i in range(12)]
+    got = bessel_j_columns([3] * 12, xs)
+    assert table_calls == []
+    for p, x in enumerate(xs):
+        assert got[:, p].tobytes() == bessel_j_row(3, x).tobytes()
+
+
+def test_columns_validation():
+    assert bessel_j_columns([], []).shape == (0, 0)
+    for orders in ([MAX_ORDER + 1], [-1], [1.0], [True], ["2"]):
+        with pytest.raises(ValueError):
+            bessel_j_columns(orders, [1.0])
+    for x in (-1.0, math.nan, math.inf, "1.0", None):
+        with pytest.raises(ValueError):
+            bessel_j_columns([2, 2], [1.0, x])
+    with pytest.raises(ValueError):
+        bessel_j_columns([2, 2], [1.0])
+    with pytest.raises(ValueError, match="max_order"):
+        bessel_j_columns([0], [25_000.0])
 
 
 def test_table_argument_validation():

@@ -293,6 +293,33 @@ def test_one_point_theory_has_the_bits_of_the_pointwise_route(tmp_path, beta):
     assert got == [repr(float(v)) for v in want]
 
 
+def _with_columns(src, dst, values):
+    """Copy an estimate CSV, setting the named columns of every row to values."""
+    lines = Path(src).read_text().splitlines()
+    header = lines[2].split(",")
+    for i in range(3, len(lines)):
+        fields = lines[i].split(",")
+        for name, value in values.items():
+            fields[header.index(name)] = value
+        lines[i] = ",".join(fields)
+    Path(dst).write_text("\n".join(lines) + "\n")
+    return str(dst)
+
+
+def test_compare_rejects_nan_grid_coordinates(tmp_path, capsys):
+    _, est_csv, thy_csv = _run_pipeline(tmp_path, points=3)
+    out = tmp_path / "merged.csv"
+    nan_grid = _with_columns(est_csv, tmp_path / "nan-grid.csv", {"t": "nan", "s": "nan"})
+    assert _exit_code(["compare", "--estimate", nan_grid, "--theory", thy_csv, "--out", str(out)]) == 3
+    assert "grid mismatch at row 0" in capsys.readouterr().err
+    assert not out.exists()
+    # an M=1 estimate writes a NaN k_stderr, which compare still accepts
+    nan_stderr = _with_columns(est_csv, tmp_path / "nan-stderr.csv", {"k_stderr": "nan"})
+    assert main(["compare", "--estimate", nan_stderr, "--theory", thy_csv, "--out", str(out)]) == 0
+    _, rows = _read_rows(out)
+    assert len(rows) == 3 and all(r["z"] == "nan" for r in rows)
+
+
 def test_theory_beyond_bessel_range_writes_nothing(tmp_path, capsys):
     out = tmp_path / "beyond.csv"
     argv = ["theory", "--n", "256", "--tau-min", "25000", "--tau-max", "25000", "--points", "1"]
@@ -359,6 +386,11 @@ def exit_files(tmp_path_factory):
         files[name] = str(tmp / f"{name}.bin")
         head = header.replace(b'"m":12', f'"m":{m}'.encode())
         Path(files[name]).write_bytes(head + b"\n" + payload[: rows * 16 * 16])
+    # a spec whose n is a bool, which json reads as True
+    files["n_bool"] = str(tmp / "n_bool.bin")
+    head = header.replace(b'"n":16', b'"n":true')
+    assert head != header
+    Path(files["n_bool"]).write_bytes(head + b"\n" + payload)
     # headers whose master_seed is not an integer in [0, 2^64)
     for name, seed in (("seed_str", '"abc"'), ("seed_negative", "-5"), ("seed_float", "1.5"),
                        ("seed_null", "null"), ("seed_bool", "true")):
@@ -394,6 +426,7 @@ EXIT_CASES = [
     ("zero-m-cache", "estimate --spectra {m_zero}", 3, None, "positive integer"),
     ("float-m-cache", "estimate --spectra {m_float}", 3, None, "positive integer"),
     ("bool-m-cache", "estimate --spectra {m_bool}", 3, None, "positive integer"),
+    ("bool-n-cache", "estimate --spectra {n_bool}", 3, None, "positive integer"),
     ("string-seed-cache", "estimate --spectra {seed_str}", 3, None, "master_seed"),
     ("negative-seed-cache", "estimate --spectra {seed_negative}", 3, None, "master_seed"),
     ("float-seed-cache", "estimate --spectra {seed_float}", 3, None, "master_seed"),

@@ -28,6 +28,12 @@ def test_beta_property():
     assert EnsembleSpec(field="complex", distribution="gaussian", n=4).beta == 2
 
 
+def test_spec_rejects_bool_n():
+    # bool is an int subclass; a cache header reading "n": true must not pass
+    with pytest.raises(ValueError, match="positive integer"):
+        EnsembleSpec("complex", "gaussian", True)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="field"):
         EnsembleSpec(field="quaternion", distribution="gaussian", n=4)

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from dsff_lab import theory
 from dsff_lab.bessel import TABLE_MIN_ARGUMENT
 from dsff_lab.estimator import build_tau_grid
 from dsff_lab.quadrature import LINE_PANEL_PHASE
@@ -78,7 +77,7 @@ def test_dsff_theory_frozen_value():
 
 
 @pytest.mark.parametrize("beta", [1, 2])
-def test_theory_evaluates_at_large_tau(beta, monkeypatch):
+def test_theory_evaluates_at_large_tau(beta, table_calls):
     # inside the documented range, which ends at |tau| = 19,575 (and at
     # |s| = 9,838 for beta 1)
     tau = ComplexTime.from_polar(15_000.0, 0.3)
@@ -86,7 +85,7 @@ def test_theory_evaluates_at_large_tau(beta, monkeypatch):
     assert math.isfinite(p.k_total)
     # two points this deep do not pay for a table
     taus = [ComplexTime.from_polar(14_000.0, 0.3), tau]
-    assert _grid_matches_pointwise(monkeypatch, taus, 256, -1.0, beta) == 0
+    assert _grid_matches_pointwise(table_calls, taus, 256, -1.0, beta) == 0
 
 
 def test_j1_over_x_at_subnormal_argument():
@@ -197,13 +196,12 @@ def test_timescales():
 # the grid route against the per-point route
 
 
-def _grid_matches_pointwise(monkeypatch, taus, n, kappa4, beta):
+def _grid_matches_pointwise(table_calls, taus, n, kappa4, beta):
     """Assert dsff_theory_grid = dsff_theory to 1e-13 max(1, |v|) in every
     term; return the number of bessel_j_table calls the grid made."""
-    tables = []
-    table = theory.bessel_j_table
-    monkeypatch.setattr(theory, "bessel_j_table", lambda *a: tables.append(a) or table(*a))
+    before = len(table_calls)
     grid = dsff_theory_grid(taus, n, kappa4=kappa4, beta=beta)
+    made = len(table_calls) - before
     assert len(grid) == len(taus)
     for tau, g in zip(taus, grid):
         p = dsff_theory(tau, n, kappa4=kappa4, beta=beta)
@@ -213,49 +211,51 @@ def _grid_matches_pointwise(monkeypatch, taus, n, kappa4, beta):
         pairs += [(v, g.v_terms[key]) for key, v in p.v_terms.items()]
         for want, got in pairs:
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (tau, want, got)
-    return len(tables)
+    return made
 
 
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("kappa4", [0.0, -2.0])
-def test_grid_from_tau_zero(monkeypatch, beta, kappa4):
+def test_grid_from_tau_zero(table_calls, beta, kappa4):
     taus = build_tau_grid(0.6, 0.0, 30.0, 80, "linear")
     assert taus[0].abs_tau == 0.0
-    assert _grid_matches_pointwise(monkeypatch, taus, 256, kappa4, beta) >= 1
+    assert _grid_matches_pointwise(table_calls, taus, 256, kappa4, beta) >= 1
 
 
 @pytest.mark.parametrize("beta", [1, 2])
-def test_grid_below_table_min_argument(monkeypatch, beta):
+def test_grid_below_table_min_argument(table_calls, beta):
     # the first ~half of the points lie below TABLE_MIN_ARGUMENT, which a
     # table refuses: they take the per-point route, and nothing raises
     taus = build_tau_grid(0.5, 1e-300, 30.0, 120)
     assert taus[0].abs_tau < TABLE_MIN_ARGUMENT < taus[-1].abs_tau
-    assert _grid_matches_pointwise(monkeypatch, taus, 256, -1.0, beta) >= 1
+    assert _grid_matches_pointwise(table_calls, taus, 256, -1.0, beta) >= 1
     _exact_grid_matches_pointwise(taus)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2])
-def test_grid_on_the_axes_beta_one(monkeypatch, theta):
+def test_grid_on_the_axes_beta_one(table_calls, theta):
     # t = 0 (up to rounding) on theta = pi/2, s = 0 on theta = 0
     taus = build_tau_grid(theta, 0.01, 40.0, 60)
-    assert _grid_matches_pointwise(monkeypatch, taus, 128, -2.0, 1) >= 1
+    assert _grid_matches_pointwise(table_calls, taus, 128, -2.0, 1) >= 1
 
 
-def test_grid_block_crossing_two_panel_counts(monkeypatch):
+def test_grid_block_crossing_two_panel_counts(table_calls):
     # |t| + |s| runs from 71 to 212 on this ray, so one table block holds
     # points of one and of two real-axis panels
     taus = build_tau_grid(math.pi / 4, 50.0, 150.0, 60, "linear")
     panels = {max(1, math.ceil((abs(tau.t) + abs(tau.s)) / LINE_PANEL_PHASE)) for tau in taus}
     assert panels == {1, 2}
-    assert _grid_matches_pointwise(monkeypatch, taus, 256, -1.0, 1) == 1
+    assert _grid_matches_pointwise(table_calls, taus, 256, -1.0, 1) == 1
 
 
-def test_one_point_grid_has_the_bits_of_dsff_theory():
+def test_one_point_grid_has_the_bits_of_dsff_theory(table_calls):
     for tau in (ComplexTime(0.0, 0.0), ComplexTime(5e-324, 0.0), ComplexTime.from_polar(2.5, 0.3),
                 ComplexTime.from_polar(900.0, 1.1)):
         for beta in (1, 2):
             assert dsff_theory_grid([tau], 64, kappa4=-1.0, beta=beta) == [dsff_theory(tau, 64, -1.0, beta)]
         assert ginibre_exact_dsff_grid([tau], 64) == [ginibre_exact_dsff(tau, 64)]
+    # a point's at most three rows cost less than a table: no table
+    assert table_calls == []
 
 
 def test_empty_grid():
@@ -270,9 +270,6 @@ def _exact_grid_matches_pointwise(taus):
         assert abs(g.disconnected - want.disconnected) <= 1e-13 * max(1.0, abs(want.disconnected))
 
 
-def test_exact_grid_matches_pointwise(monkeypatch):
-    tables = []
-    table = theory.bessel_j_table
-    monkeypatch.setattr(theory, "bessel_j_table", lambda *a: tables.append(a) or table(*a))
+def test_exact_grid_matches_pointwise(table_calls):
     _exact_grid_matches_pointwise(build_tau_grid(0.0, 0.1, 32.0, 60))
-    assert len(tables) == 1
+    assert len(table_calls) == 1
