@@ -16,13 +16,14 @@ for display.
 The L values come from one of two kernels. A grid whose points lie on one ray
 goes through the Chebyshev-moment route `kernels.ray_linear_stat_sums` when
 `ray_order` finds it cheaper; every other grid, `dsff_point` included, goes
-point by point through `kernels.linear_stat_sums`. The choice is a fixed
-cost rule in units of one Chebyshev step on one eigenvalue: the ray route
-pays K + 1 steps per eigenvalue plus a contraction and a fixed overhead per
-order, the pointwise route POINT_COST steps per eigenvalue and point (one
-tangent and its half-angle identity). Either way the statistics below are
-computed by whole-array numpy steps over cache-sized blocks of rows of the
-(points, M) array of L values.
+point by point through `kernels.linear_stat_sums`. Per sample, the ray route
+costs K + 1 orders of one Chebyshev step per eigenvalue and one contraction
+term per point, (K + 1)(N + P) steps, and the pointwise route POINT_COST
+steps per eigenvalue and point (one tangent and its half-angle identity);
+M cancels. The ray route also keeps its moment and Bessel tables within four
+times the (P, M) complex array of L that both routes return. Either way the
+statistics below are computed by whole-array numpy steps over cache-sized
+blocks of rows of that array.
 """
 from __future__ import annotations
 
@@ -49,18 +50,10 @@ __all__ = [
 # grids from build_tau_grid qualify at every theta.
 RAY_TOLERANCE = 8 * np.finfo(np.float64).eps
 
-# Cost rule of the ray route, in units of one Chebyshev step on one
-# eigenvalue (about 1.5-2 ns), measured with one thread on AVX-512 x86-64
-# (numpy 2.4): a pointwise phase term (one tan and its half-angle identity)
-# costs 5-10 such steps, about 7 in the median, on M N = 2,560-256,000 (the
-# rule takes 6); one term of the contraction costs a third to a half of one,
-# and each order a fixed Python-level overhead of about 10,000 for the moment
-# and Bessel loops together. The rule leaves out the pointwise kernel's fixed
-# cost per call (about 20 us), so it leans to the pointwise route on grids of
-# a few thousand eigenvalues, where both routes take a few milliseconds.
+# Cost of one pointwise phase term (one tan and its half-angle identity) in
+# Chebyshev steps on one eigenvalue, the unit of the ray route's cost rule:
+# 5-10, about 7 in the median, with one thread on AVX-512 x86-64 (numpy 2.4).
 POINT_COST = 6.0
-CONTRACT_COST = 1.0 / 3.0
-ORDER_OVERHEAD = 10_000.0
 
 
 @dataclass(frozen=True)
@@ -152,10 +145,10 @@ def _ray_plan(sset, taus):
 
     It takes a grid of two or more points on one ray from the origin, with a
     nonzero spectral radius, every positive r rho at least TABLE_MIN_ARGUMENT
-    and K at most MAX_ORDER, when the moment pass costs less than the
-    pointwise kernel and its tables ((K + 1) (M + P) moments and Bessel
-    values plus the 2 P M parts of L) hold no more floats than the four
-    (M, N) arrays its recurrence needs.
+    and K at most MAX_ORDER, when (K + 1)(N + P) < POINT_COST P N, its cost
+    per sample against the pointwise route's, and when its moment and Bessel
+    tables, (K + 1)(M + P) floats, hold at most the 8 P M floats of four
+    (P, M) complex arrays of L.
     """
     p, m, n = len(taus), sset.m, sset.n
     if p < 2:
@@ -175,10 +168,7 @@ def _ray_plan(sset, taus):
     order = truncation_order(float(x.max()))
     if order > MAX_ORDER:
         return None
-    ray_cost = (order + 1) * (m * n + CONTRACT_COST * m * p + ORDER_OVERHEAD)
-    if ray_cost >= POINT_COST * p * m * n:
-        return None
-    if (order + 1) * (m + p) + 2 * p * m > 4 * m * n:
+    if (order + 1) * (n + p) >= POINT_COST * p * n or (order + 1) * (m + p) > 8 * p * m:
         return None
     return (c, s), radii, rho, order
 

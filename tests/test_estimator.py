@@ -124,6 +124,17 @@ def test_dsff_grid_matches_pointwise():
         assert est.tau == tau
 
 
+def test_long_ray_over_few_eigenvalues_takes_the_ray_route():
+    # 400 points to |tau| = 2 sqrt(N): the L array is large next to the
+    # spectra, and the moment pass costs under a fifth of the phase sums
+    sset = _sset(_disk_spectra(200, 64, 16))
+    taus = build_tau_grid(0.7, 0.1, 16.0, 400, "log")
+    assert ray_order(sset, taus) is not None
+    grid_ests = dsff_grid(sset, taus)
+    for tau, est in list(zip(taus, grid_ests))[::40]:
+        assert est.k_mean == pytest.approx(dsff_point(sset, tau).k_mean, rel=1e-12, abs=0.0)
+
+
 def test_ray_grid_from_zero_is_exact_there():
     sset = _sset(_disk_spectra(200, 64, 10))
     taus = build_tau_grid(math.pi / 4, 0.0, 12.0, 40, "linear")
@@ -182,6 +193,7 @@ def test_point_and_off_ray_grids_stay_pointwise(monkeypatch):
     (500, 128, 0.1, 2.0 * math.sqrt(128), 120),  # a real N=128 cache reanalysed
     (32, 256, 0.3, 25.0, 80),  # the cold figure
     (1000, 256, 0.3, 25.0, 80),  # the A1 grid
+    (40, 64, 0.1, 16.0, 40),  # a few thousand eigenvalues, where both take milliseconds
 ])
 def test_figure_sized_grids_take_the_ray_route(m, n, tau_min, tau_max, points):
     # sampled spectra reach a radius of about 1.1-1.2, and a larger radius
@@ -247,6 +259,10 @@ def test_ray_order_rejects_grids_outside_its_range():
     assert ray_order(sset, build_tau_grid(0.2, 1.0, 2.0 * MAX_ORDER / rho, 40, "log")) is None
     # opposite directions are two rays; all-zero spectra need no phases
     assert ray_order(sset, build_tau_grid(0.2, 0.5, 8.0, 40) + [ComplexTime.from_polar(1.0, 0.2 + math.pi)]) is None
+    # an order that costs more than 12 points' phase sums; tables larger than
+    # four L arrays, where the cost alone would take the ray
+    assert ray_order(sset, build_tau_grid(0.2, 0.5, 100.0, 12)) is None
+    assert ray_order(_sset(_disk_spectra(2, 256, 13)), build_tau_grid(0.2, 0.5, 100.0, 40)) is None
     zero = _sset(np.zeros((200, 64), dtype=complex))
     assert ray_order(zero, build_tau_grid(0.2, 0.5, 8.0, 40)) is None
     assert [e.k_mean for e in dsff_grid(zero, build_tau_grid(0.2, 0.5, 8.0, 3))] == [1.0] * 3
