@@ -15,12 +15,14 @@ and is the one place that decides between a row per argument and a table
 per block of arguments, by what each costs in recurrence steps.
 
 One truncation order, `truncation_order(x)`, cuts every infinite Bessel sum:
-the estimator's Jacobi-Anger series and `weighted_bessel_series`.
+the estimator's Jacobi-Anger series and `weighted_column_sums`, which
+theory's grids and `weighted_bessel_series` share.
 
 Negative orders go through the reflection J_{-n} = (-1)^n J_n.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +36,7 @@ __all__ = [
     "bessel_j_table",
     "truncation_order",
     "weighted_bessel_series",
+    "weighted_column_sums",
 ]
 
 
@@ -63,7 +66,7 @@ _TABLE_ELEMENTS = 1 << 16
 
 
 def _validate_argument(x):
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
+    if isinstance(x, bool) or not (isinstance(x, (int, float)) and math.isfinite(x)):
         raise ValueError(f"argument must be a finite real number, got {x!r}")
     if x < 0:
         raise ValueError(f"argument must be nonnegative, got {x!r}")
@@ -86,7 +89,7 @@ def truncation_order(x):
     The tail sum_{k>K} |J_k(x)| stays below 1e-19 for 0 <= x <= 20,000: past
     the turning point k = x the terms fall super-exponentially over a width
     of order x^(1/3). The estimator's Jacobi-Anger series and
-    weighted_bessel_series both stop at K.
+    weighted_column_sums both stop at K.
     """
     return math.ceil(x) + math.ceil(12.5 * x ** (1.0 / 3.0)) + 10
 
@@ -352,24 +355,51 @@ def _weight_values(weight, k, phi):
     if weight == "k_squared":
         return k.astype(float) ** 2
     if weight == "abs_k_sin_sq":
-        if phi is None:
-            raise ValueError("weight 'abs_k_sin_sq' requires phi")
         return k * np.sin(phi * k) ** 2
     raise ValueError(f"unknown weight {weight!r}")
 
 
-def weighted_bessel_series(x, weight, phi=None):
-    """sum over all integer k of w(k) J_k(x)^2.
+def weighted_column_sums(columns, orders, weight, phi=None):
+    """Per column p, sum over all integer k of w(k) J_k(x_p)^2.
 
-    Weights: "abs_k" -> |k|, "k_squared" -> k^2,
-    "abs_k_sin_sq" -> |k| sin^2(phi k) (phi required).
-    All three are even in k and vanish at k=0, so the sum is
-    2 sum_{k>=1} w(k) J_k(x)^2, taken in one pass up to truncation_order(x).
-    Past the turning point J_k^2 decays super-exponentially, and |k|-type
-    weights grow at most quadratically, so the dropped tail is below 1e-29.
+    Column p of columns holds J_0..J_K(x_p), K = orders[p], as
+    bessel_j_columns returns them. Weights: "abs_k" -> |k|, "k_squared" ->
+    k^2, "abs_k_sin_sq" -> |k| sin^2(phi_p k), phi holding one finite angle
+    per column. All three are even in k and vanish at k = 0, so the sum is
+    twice the sum over k >= 1. A run of consecutive columns (a stretch of a
+    ray) is summed at once when their K share int(4 log2(max(K, 128))); each
+    column then takes as many terms as the largest K of the run (past its
+    own K, zeros or a table's further J_k, below 1e-19). So no sum takes
+    more than 128 or 2^(1/4) times its own terms, and a single column's sum
+    takes exactly its own.
+    """
+    if phi is not None:
+        phi = np.asarray(phi, dtype=np.float64)
+        if not np.isfinite(phi).all():
+            raise ValueError("phi must be finite")
+    elif weight == "abs_k_sin_sq":
+        raise ValueError("weight 'abs_k_sin_sq' requires phi")
+    sums = np.empty(len(orders))
+    lo = 0
+    for _, run in itertools.groupby(orders, lambda order: int(4.0 * math.log2(max(order, 128)))):
+        run = list(run)
+        hi, top = lo + len(run), max(run)
+        angles = None if phi is None else phi[lo:hi, None]
+        weights = _weight_values(weight, np.arange(1, top + 1), angles)
+        sums[lo:hi] = 2.0 * np.add.reduce(weights * columns[1 : top + 1, lo:hi].T ** 2, axis=-1)
+        lo = hi
+    return sums
+
+
+def weighted_bessel_series(x, weight, phi=None):
+    """sum over all integer k of w(k) J_k(x)^2: weighted_column_sums at one argument.
+
+    Its one column is J_0..J_K(x) from bessel_j_columns, K = truncation_order(x);
+    phi, which "abs_k_sin_sq" requires, is one finite real. Past the turning
+    point J_k^2 decays super-exponentially, and |k|-type weights grow at most
+    quadratically, so the dropped tail is below 1e-29.
     """
     x = _validate_argument(x)
     order = truncation_order(x)
-    weights = _weight_values(weight, np.arange(1, order + 1), phi)
-    row = bessel_j_row(order, x)
-    return 2.0 * float(np.sum(weights * row[1:] ** 2))
+    phi = None if phi is None else [phi]
+    return float(weighted_column_sums(bessel_j_columns([order], [x]), [order], weight, phi)[0])

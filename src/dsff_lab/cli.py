@@ -246,6 +246,8 @@ def _cmd_estimate(args):
 def _cmd_theory(args):
     if args.exact_gaussian and args.beta != 2:
         raise ValueError("--exact-gaussian models complex gaussian entries only (beta 2)")
+    if args.exact_gaussian and args.kappa4 != 0.0:
+        raise ValueError("--exact-gaussian models gaussian entries only (kappa4 0)")
     taus, tau_max = _grid_from_args(args, args.n)
     config = {
         "beta": args.beta,

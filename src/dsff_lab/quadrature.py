@@ -19,7 +19,6 @@ Gauss-Legendre rule of 96-node panels takes to rounding level.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,27 +220,24 @@ def real_axis_correction_line(t, s):
     I is computed from |t| and |s|, which makes it bitwise even in both.
     Equals real_axis_correction_integral(t, s, grid) up to the grid's error.
 
-    t and s may also be 1-D arrays of one length; the result is then the
-    array of I at each (t, s), the points of one panel count taken at once,
-    and each entry has the bits of the scalar call at its point.
+    t and s are floats or arrays, broadcast together, with finite entries.
+    The result holds I at each (t, s), the points of one panel count taken
+    at once; a scalar call is this route at one point and returns a float.
     """
-    if np.ndim(t) == 0 and np.ndim(s) == 0:
-        t, s = abs(t), abs(s)
-        return float(_line_rule(t, s, max(1, math.ceil((t + s) / LINE_PANEL_PHASE))))
-    t, s = np.abs(t), np.abs(s)
-    panels = np.maximum(1, np.ceil((t + s) / LINE_PANEL_PHASE)).astype(np.int64)
+    t, s = np.broadcast_arrays(np.abs(t, dtype=np.float64), np.abs(s, dtype=np.float64))
+    phase = t + s
+    if not np.isfinite(phase).all():
+        raise ValueError("t and s must be finite")
+    panels = np.maximum(1, np.ceil(phase / LINE_PANEL_PHASE)).astype(np.int64)
     out = np.empty(t.shape)
-    for count in set(panels.tolist()):
+    for count in set(panels.ravel().tolist()):
         pick = panels == count
         out[pick] = _line_rule(t[pick, None], s[pick, None], count)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def _line_rule(t, s, panels):
-    """The angular integral of real_axis_correction_line at |t|, |s|.
-
-    t and s are floats, or (P, 1) arrays for P sums along the last axis.
-    """
+    """real_axis_correction_line's angular integral at (P, 1) arrays |t|, |s|, one sum per row."""
     cos_phi, sin_phi, weights = quarter_circle_rule(panels)
     chord = cos_phi * np.sinc(t * cos_phi / np.pi)
     integrand = chord * (s * s) * _one_minus_cos_over_sq(s * sin_phi) * cos_phi

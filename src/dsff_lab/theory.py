@@ -12,20 +12,22 @@ ensemble.
 Every Bessel value of a grid of points comes from one
 bessel.bessel_j_columns call: J_0..J_K(|tau|) with K = truncation_order(|tau|)
 and, at beta=1, J_0(|t|) and J_1(2|s|); bessel decides which come from a
-table and which from a row. `dsff_theory` and `ginibre_exact_dsff` are
-their grid functions at one point. One formula, `_terms`, gives the terms
-over all points at once, and so does the angular quadrature of the beta=1
-expectation correction (quadrature.real_axis_correction_line).
+table and which from a row. The variance series over those columns is
+bessel.weighted_column_sums, with the weight _SERIES_WEIGHT[beta], the route
+bessel.weighted_bessel_series takes at one argument. One formula, `_terms`,
+gives the terms over all points at once, and one call of
+quadrature.real_axis_correction_line the real-axis integral of the beta=1
+expectation. `dsff_theory` and `ginibre_exact_dsff` are `dsff_theory_grid`
+and `ginibre_exact_dsff_grid` at one point.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import TABLE_MIN_ARGUMENT, _weight_values, bessel_j, bessel_j_columns, truncation_order
+from .bessel import TABLE_MIN_ARGUMENT, bessel_j, bessel_j_columns, truncation_order, weighted_column_sums
 from .quadrature import real_axis_correction_line
 
 # Unused here: perfbench/tracing.py wraps weighted_bessel_series and
@@ -122,31 +124,6 @@ def _validate(n, beta=2):
 
 
 _SERIES_WEIGHT = {1: "abs_k_sin_sq", 2: "abs_k"}
-
-
-def _series(columns, orders, beta, phi):
-    """Per point, sum over k != 0 of w(k) J_k(|tau|)^2.
-
-    Column p of columns holds J_0..J_K(|tau_p|), K = orders[p]. The weight
-    is |k| at beta=2 and |k| sin^2(phi k) at beta=1, phi holding the
-    points' angles (bessel._weight_values); both are even in k,
-    so the sum is twice the sum over k >= 1. A run of consecutive points
-    (a stretch of a ray) is summed at once when their K share
-    int(4 log2(max(K, 128))); each point then takes as many terms as the
-    largest K of the run (past its own K, zeros or a table's further J_k,
-    below 1e-19). So no sum takes more than 128 or 2^(1/4) times its own
-    terms, and one point's sum takes exactly its own.
-    """
-    series = np.empty(len(orders))
-    lo = 0
-    for _, run in itertools.groupby(orders, lambda order: int(4.0 * math.log2(max(order, 128)))):
-        run = list(run)
-        hi, top = lo + len(run), max(run)
-        angles = None if phi is None else phi[lo:hi, None]
-        weights = _weight_values(_SERIES_WEIGHT[beta], np.arange(1, top + 1), angles)
-        series[lo:hi] = 2.0 * np.add.reduce(weights * columns[1 : top + 1, lo:hi].T ** 2, axis=-1)
-        lo = hi
-    return series
 
 
 def _terms(x, bessel, n, kappa4, beta, real):
@@ -259,7 +236,7 @@ def dsff_theory_grid(taus, n, kappa4=0.0, beta=2):
         phi, cos_t, ramp = np.array([(tau.phi, math.cos(tau.t), tau.t**2 - tau.s**2) for tau in taus]).T
         j1_2s_over_s = _j1_2s_over_s(s, columns[1, 2 * size :])
         real = (real_axis_correction_line(t, s), columns[0, size : 2 * size], cos_t, ramp, j1_2s_over_s)
-    series = _series(columns, orders[:size], beta, phi)
+    series = weighted_column_sums(columns, orders[:size], _SERIES_WEIGHT[beta], phi)
     j1x = _j1_over_x(x, columns[1, :size])
     bessel = (columns[0, :size], j1x, _j3_over_x(x, columns[3, :size]), series)
     e_terms, v_terms = _terms(x, bessel, n, kappa4, beta, real)

@@ -15,6 +15,7 @@ from dsff_lab.bessel import (
     bessel_j_table,
     truncation_order,
     weighted_bessel_series,
+    weighted_column_sums,
 )
 
 # 30-digit arithmetic reference values, frozen; small and large arguments,
@@ -100,6 +101,23 @@ def test_weighted_series_matches_mpmath(x, weight, want):
     assert weighted_bessel_series(x, weight, phi=phi) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+def test_column_sums_match_mpmath(table_calls):
+    # the route theory takes: one bessel_j_columns call over a grid, here one
+    # table, then weighted_column_sums over its columns; the reference
+    # arguments are its first, last and 25th column
+    xs = [*np.linspace(0.5, 11.5, 24).tolist(), 5.0]
+    orders = [truncation_order(x) for x in xs]
+    columns = bessel_j_columns(orders, xs)
+    assert len(table_calls) == 1
+    for weight in ("abs_k", "k_squared", "abs_k_sin_sq"):
+        phi = np.full(len(xs), 0.7) if weight == "abs_k_sin_sq" else None
+        sums = weighted_column_sums(columns, orders, weight, phi)
+        got = {0.5: sums[0], 11.5: sums[23], 5.0: sums[24]}
+        for x, w, want in WEIGHTED_REFERENCE:
+            if w == weight:
+                assert got[x] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_weighted_series_closed_form():
     # sum_k k^2 J_k(x)^2 = x^2 / 2
     for x in (0.5, 7.0, 33.0):
@@ -115,6 +133,9 @@ def test_weighted_series_zero_argument():
 def test_weighted_series_requires_phi():
     with pytest.raises(ValueError, match="phi"):
         weighted_bessel_series(2.0, "abs_k_sin_sq")
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phi"):
+            weighted_bessel_series(2.0, "abs_k_sin_sq", phi=phi)
 
 
 def test_unknown_weight_rejected():
@@ -131,6 +152,12 @@ def test_argument_validation():
         bessel_j(0, math.nan)
     with pytest.raises(ValueError):
         bessel_j_row(-1, 2.0)
+    # a bool is not an argument, as it is not an order
+    for x in (True, False):
+        with pytest.raises(ValueError, match="argument"):
+            bessel_j(0, x)
+        with pytest.raises(ValueError, match="argument"):
+            weighted_bessel_series(x, "abs_k")
 
 
 def test_order_cap():

@@ -193,6 +193,13 @@ def test_exact_gaussian_rejects_beta_one(capsys):
     assert "beta 2" in capsys.readouterr().err
 
 
+def test_exact_gaussian_rejects_nonzero_kappa4(capsys, tmp_path):
+    out = tmp_path / "exact.csv"
+    assert main(["theory", "--n", "8", "--exact-gaussian", "--kappa4", "-1", "--out", str(out)]) == 2
+    assert "kappa4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exact_gaussian_columns(tmp_path):
     out = str(tmp_path / "exact.csv")
     assert main([

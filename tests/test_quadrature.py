@@ -6,6 +6,7 @@ import pytest
 from dsff_lab.bessel import bessel_j
 from dsff_lab.kernels import linear_stat_sums
 from dsff_lab.quadrature import (
+    LINE_PANEL_PHASE,
     boundary_average,
     chord_integral,
     disk_grid,
@@ -174,19 +175,42 @@ def test_real_axis_quarter_grid_matches_full_grid(radial, angular):
 # y-form (1/pi) int_0^1 sin(t sqrt(1-y^2))/t (1-cos(s y))/y^2 dy to 1e-20.
 # At (100, 100) the 400 x 512 disk grid is off by 5e-13; at (500, 10) and
 # (2000, 700) one 96-node panel would be off by 1e-4 and 4e-4.
-@pytest.mark.parametrize(
-    "t, s, want",
-    [
-        (1.0, 1.0, 0.1076591237294464376423106),
-        (32.0, 0.5, -0.00005175399763225120708161973),
-        (20.0, 25.0, 0.4882035972257338324173019),
-        (100.0, 100.0, -0.2635072900980198799405711),
-        (500.0, 10.0, 0.0004950188832107600811125698),
-        (2000.0, 700.0, 0.1591827437431134364084497),
-    ],
-)
+LINE_REFERENCE = [
+    (1.0, 1.0, 0.1076591237294464376423106),
+    (32.0, 0.5, -0.00005175399763225120708161973),
+    (20.0, 25.0, 0.4882035972257338324173019),
+    (100.0, 100.0, -0.2635072900980198799405711),
+    (500.0, 10.0, 0.0004950188832107600811125698),
+    (2000.0, 700.0, 0.1591827437431134364084497),
+]
+
+
+@pytest.mark.parametrize("t, s, want", LINE_REFERENCE)
 def test_real_axis_line_matches_mpmath(t, s, want):
     assert real_axis_correction_line(t, s) == pytest.approx(want, abs=1e-13)
+
+
+def test_real_axis_line_array_matches_mpmath():
+    # one call, as theory makes it, over points of 1, 1, 1, 2, 4 and 22 panels
+    t, s, want = np.array(LINE_REFERENCE).T
+    assert np.ceil((t + s) / LINE_PANEL_PHASE).tolist() == [1, 1, 1, 2, 4, 22]
+    got = real_axis_correction_line(t, s)
+    assert got.shape == (6,)
+    assert np.abs(got - want).max() <= 1e-13
+
+
+def test_real_axis_line_broadcasts_a_scalar_against_an_array():
+    s = np.array([0.7, 0.0, 25.0, 700.0])
+    got = real_axis_correction_line(1.5, s)
+    assert got.tolist() == [real_axis_correction_line(1.5, v) for v in s.tolist()]
+    assert real_axis_correction_line(s, 1.5).tolist() == [real_axis_correction_line(v, 1.5) for v in s.tolist()]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_real_axis_line_rejects_non_finite(bad):
+    for t, s in ((bad, 1.0), (1.0, bad), (np.array([1.0, bad]), 1.0), (1.0, np.array([bad, 2.0]))):
+        with pytest.raises(ValueError, match="t and s"):
+            real_axis_correction_line(t, s)
 
 
 def test_real_axis_line_vanishes_at_s_zero():
