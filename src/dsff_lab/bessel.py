@@ -66,7 +66,9 @@ _TABLE_ELEMENTS = 1 << 16
 
 
 def _validate_argument(x):
-    if isinstance(x, bool) or not (isinstance(x, (int, float)) and math.isfinite(x)):
+    """x as a float; Python and numpy integers and floats pass, bools and complex numbers do not."""
+    real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    if not (real and math.isfinite(x)):
         raise ValueError(f"argument must be a finite real number, got {x!r}")
     if x < 0:
         raise ValueError(f"argument must be nonnegative, got {x!r}")

@@ -5,12 +5,14 @@ included in the weights) times the equispaced periodic trapezoid rule in the
 angle. Angular nodes carry a half-step offset, theta_j = 2*pi*(j+1/2)/n: for
 periodic integrands the offset changes nothing, and with even n it makes the
 node set exactly symmetric under y -> -y and x -> -x while keeping every node
-off the real axis. The disk route of the real-axis correction integral
-relies on both: its integrand is even in x and in y, so it is evaluated on
-the columns with theta_j in (0, pi/2) only, each standing for its four
-mirror images. With n = 2 (mod 4) one column lies on theta = pi/2 and is
-its own image under x -> -x, so it stands for two columns; with odd n the
-images of a column are not grid columns, and the fold is refused.
+off the real axis. quarter_row_sums relies on both: an integrand even in x
+and in y is evaluated on the columns with theta_j in (0, pi/2) only, each
+standing for its four mirror images. With n = 2 (mod 4) one column lies on
+theta = pi/2 and is its own image under x -> -x, so it stands for two
+columns; with odd n the images of a column are not grid columns, and the
+fold is refused. That one fold serves the disk route of the real-axis
+correction integral and plane_wave_row_sums, the real parts of plane waves
+whose odd parts cancel on the grid.
 
 The line route of the same integral does the x integral in closed form and
 leaves one smooth angular integral on (0, pi/2), which a composite
@@ -29,6 +31,8 @@ __all__ = [
     "disk_integral",
     "boundary_average",
     "chord_integral",
+    "quarter_row_sums",
+    "plane_wave_row_sums",
     "real_axis_correction_integral",
     "quarter_circle_rule",
     "real_axis_correction_line",
@@ -139,50 +143,85 @@ def _one_minus_cos_over_sq(u):
     return 0.5 * np.sinc(u / (2.0 * np.pi)) ** 2
 
 
+def quarter_row_sums(grid, integrand):
+    """Per-row sums over every node of the grid of an integrand even in x and in y.
+
+    integrand(x, y) is evaluated on the columns with theta_j in (0, pi/2]
+    only, the (radial_nodes, (n + 2) // 4) leading slices of grid.x and
+    grid.y, and must return an array of their shape. Each column inside
+    (0, pi/2) stands for its four mirror images and is counted four times;
+    the column on theta = pi/2 that an angular count n = 2 (mod 4) puts
+    there is its own image under x -> -x and is counted twice. With odd n
+    the images of a column are not grid columns, and the fold is refused.
+    """
+    n = grid.angular_nodes
+    if n % 2 != 0:
+        raise ValueError(
+            "the quarter-grid fold needs a grid symmetric under y->-y and "
+            f"x->-x: angular_nodes={n} is odd"
+        )
+    quarter = n // 4  # columns strictly inside (0, pi/2)
+    columns = (n + 2) // 4
+    values = integrand(grid.x[:, :columns], grid.y[:, :columns])
+    row_sums = 4.0 * values[:, :quarter].sum(axis=1)
+    if n % 4:
+        row_sums += 2.0 * values[:, quarter]
+    return row_sums
+
+
+def _cosine(v, half_phase):
+    """cos(2 half_phase v) from u = tan(half_phase v) as (1 - u^2)/(1 + u^2), in a new array."""
+    u = np.multiply(v, half_phase)
+    np.tan(u, out=u)
+    np.multiply(u, u, out=u)
+    den = u + 1.0
+    np.subtract(1.0, u, out=u)
+    np.divide(u, den, out=u)
+    return u
+
+
+def plane_wave_row_sums(grid, t, s):
+    """Per-row sums over every node of the grid of Re e^{i(t x + s y)}.
+
+    Re e^{i(t x + s y)} = cos(t x) cos(s y) - sin(t x) sin(s y), and the
+    second term is odd in x, so on the symmetric grid the sums are those of
+    cos(t x) cos(s y), which quarter_row_sums folds. The two cosines come
+    from |t| and |s| through half-angle tangents, as in
+    real_axis_correction_integral. grid.integrate_rows of the result is the
+    real part of the disk integral of the plane wave.
+    """
+    half_t, half_s = 0.5 * abs(t), 0.5 * abs(s)
+    return quarter_row_sums(grid, lambda x, y: _cosine(x, half_t) * _cosine(y, half_s))
+
+
 def real_axis_correction_integral(t, s, grid):
     """(1/4pi) integral over the disk of cos(t x) (1 - cos(s y)) / y^2.
 
     This is the even part of e^{itx}(1 - e^{isy})/y^2; the odd parts cancel
     pairwise on a grid symmetric under x -> -x and y -> -y. The integrand is
-    even in x and in y, so it is evaluated from |t| and |s| on the columns
-    with theta_j in (0, pi/2) only and each column counted four times, or
-    twice for the column on theta = pi/2 that an angular count of
-    2 (mod 4) puts there. That fold needs an even angular node count (odd
-    counts are rejected), and makes the result bitwise even in t and in s.
-    (1 - cos(s y))/y^2 is taken as 2 (sin(s y/2)/y)^2: no grid node has
-    y = 0, so s = 0 gives 0 exactly. cos(t x) and sin(s y/2) come from the
-    tangents of their half angles, u = tan(t x/2) and v = tan(s y/4), as
-    (1 - u^2)/(1 + u^2) and 2 v/(1 + v^2), for the reason given in
-    kernels.linear_stat_sums: numpy's float64 tan is a SIMD loop, and its
-    cos and sin may not be.
+    even in x and in y, so it is evaluated from |t| and |s| on a quarter of
+    the grid by quarter_row_sums, which refuses an odd angular node count;
+    the result is bitwise even in t and in s. (1 - cos(s y))/y^2 is taken
+    as 2 (sin(s y/2)/y)^2: no grid node has y = 0, so s = 0 gives 0
+    exactly. cos(t x) and sin(s y/2) come from the tangents of their half
+    angles, u = tan(t x/2) and v = tan(s y/4), as (1 - u^2)/(1 + u^2) and
+    2 v/(1 + v^2), for the reason given in kernels.linear_stat_sums: numpy's
+    float64 tan is a SIMD loop, and its cos and sin may not be.
     """
-    if grid.angular_nodes % 2 != 0:
-        raise ValueError(
-            "real-axis correction needs a grid symmetric under y->-y and "
-            f"x->-x: angular_nodes={grid.angular_nodes} is odd"
-        )
-    n = grid.angular_nodes
-    quarter = n // 4  # columns strictly inside (0, pi/2)
-    # with n = 2 (mod 4) one more column, number `quarter`, is on theta = pi/2
-    x, y = grid.x[:, :(n + 2) // 4], grid.y[:, :(n + 2) // 4]
-    work = np.multiply(y, 0.25 * abs(s))
-    np.tan(work, out=work)
-    den = np.multiply(work, work)
-    den += 1.0
-    np.divide(work, den, out=work)  # sin(s y/2) / 2
-    np.divide(work, y, out=work)
-    np.multiply(work, work, out=work)  # (1 - cos(s y)) / (8 y^2)
-    values = np.multiply(x, 0.5 * abs(t))
-    np.tan(values, out=values)
-    np.multiply(values, values, out=values)
-    np.add(values, 1.0, out=den)
-    np.subtract(1.0, values, out=values)
-    np.divide(values, den, out=values)  # cos(t x)
-    values *= work
-    row_sums = 4.0 * values[:, :quarter].sum(axis=1)
-    if n % 4:
-        row_sums += 2.0 * values[:, quarter]
-    return float(grid.integrate_rows(row_sums)) * (2.0 / np.pi)
+
+    def integrand(x, y):
+        work = np.multiply(y, 0.25 * abs(s))
+        np.tan(work, out=work)
+        den = np.multiply(work, work)
+        den += 1.0
+        np.divide(work, den, out=work)  # sin(s y/2) / 2
+        np.divide(work, y, out=work)
+        np.multiply(work, work, out=work)  # (1 - cos(s y)) / (8 y^2)
+        values = _cosine(x, 0.5 * abs(t))
+        values *= work
+        return values
+
+    return float(grid.integrate_rows(quarter_row_sums(grid, integrand))) * (2.0 / np.pi)
 
 
 @functools.cache

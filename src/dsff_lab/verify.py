@@ -14,10 +14,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-# dsff_point and linear_stat_sums are looked up on their modules at each
-# call, so a wrapper installed there (perfbench/tracing.py) also sees the
-# calls made here
-from . import estimator, kernels, quadrature
+# dsff_point and real_axis_correction_integral are looked up on their
+# modules at each call, so a wrapper installed there (perfbench/tracing.py)
+# also sees the calls made here
+from . import estimator, quadrature
 from .bessel import bessel_j, bessel_j_row, truncation_order, weighted_bessel_series
 from .ensembles import EnsembleSpec
 from .estimator import estimate_from_linear_stats
@@ -150,11 +150,11 @@ def suite_bessel():
 def _plane_wave_deviations(grid):
     """Largest errors of the disk integrals of f and (2r^2 - 1) f, f a plane wave.
 
-    The grid's (radial, angular) node arrays have the shape of an (M, N)
-    spectrum block, so the phase-sum kernel gives the sums of f over each
-    radial row, and an integral is their contraction with the radial
-    weights. 2r^2 - 1 depends on the radius only, so the same row sums serve
-    both integrals.
+    Both targets are real, and the imaginary part of f is odd and cancels
+    on the symmetric grid, so each integral is the contraction of the sums
+    of Re f over each radial row, from a quarter of the grid, with the
+    radial weights. 2r^2 - 1 depends on the radius only, so the same row
+    sums serve both integrals.
     """
     rng = np.random.default_rng(20250817)
     radial_weight = 2.0 * grid.r**2 - 1.0
@@ -163,7 +163,7 @@ def _plane_wave_deviations(grid):
         x = rng.uniform(0.05, 20.0)
         ang = rng.uniform(0.0, 2 * math.pi)
         t, s = x * math.cos(ang), x * math.sin(ang)
-        row_sums = kernels.linear_stat_sums(grid.x, grid.y, t, s)
+        row_sums = quadrature.plane_wave_row_sums(grid, t, s)
         val = grid.integrate_rows(row_sums)
         dev_f = max(dev_f, abs(val - 2 * math.pi * bessel_j(1, x) / x))
         val = grid.integrate_rows(radial_weight * row_sums)
@@ -186,7 +186,7 @@ def suite_quadrature():
 
     dev = 0.0
     for x in (2.0, 9.5):
-        val = grid.integrate_rows(kernels.linear_stat_sums(grid.x, grid.y, x, 0.0))
+        val = grid.integrate_rows(quadrature.plane_wave_row_sums(grid, x, 0.0))
         val *= -(x**2) / (8 * math.pi)
         dev = max(dev, abs(val + x * bessel_j(1, x) / 4.0))
     checks.append(_check("laplacian_consistency", dev, 1e-8, "(1/8pi) int of Delta f"))
@@ -205,7 +205,7 @@ def suite_quadrature():
     dev = 0.0
     for t, s in ((1.5, 0.7), (3.0, 1.0), (2.0, 2.0)):
         g = lambda xx, yy: (t * np.cos(s * yy)) ** 2 + (s * np.sin(s * yy)) ** 2
-        val = quadrature.disk_integral(g, grid) / (2 * math.pi)
+        val = grid.integrate_rows(quadrature.quarter_row_sums(grid, g)) / (2 * math.pi)
         target = (t * t + s * s) / 4.0 + (t * t - s * s) * bessel_j(1, 2 * s) / (4 * s)
         dev = max(dev, abs(val - target))
     checks.append(
@@ -295,11 +295,11 @@ def suite_quadrature():
         )
     )
 
-    rng = np.random.default_rng(20261018)
-    dev = 0.0
-    for t, s in rng.uniform(-32.0, 32.0, (20, 2)):
-        line = quadrature.real_axis_correction_line(t, s)
-        dev = max(dev, abs(line - quadrature.real_axis_correction_integral(t, s, grid)))
+    t, s = np.random.default_rng(20261018).uniform(-32.0, 32.0, (20, 2)).T
+    dev = max(
+        abs(line - quadrature.real_axis_correction_integral(ti, si, grid))
+        for ti, si, line in zip(t, s, quadrature.real_axis_correction_line(t, s))
+    )
     checks.append(
         _check("real_axis_line_vs_grid", dev, 1e-11, "1-D angular rule = disk grid, 20 random tau")
     )
@@ -348,8 +348,7 @@ def suite_theory():
 
     dev = 0.0
     for x in (2.0, 5.0):
-        row_sums = kernels.linear_stat_sums(grid.x, grid.y, x, 0.0)
-        mean_route = grid.integrate_rows(row_sums).real / math.pi
+        mean_route = grid.integrate_rows(quadrature.plane_wave_row_sums(grid, x, 0.0)) / math.pi
         circle_route = quadrature.boundary_average(lambda th: np.exp(1j * x * np.cos(th))).real
         quad_coeff = (mean_route - circle_route) ** 2
         bessel_coeff = (2 * bessel_j(1, x) / x - bessel_j(0, x)) ** 2

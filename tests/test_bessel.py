@@ -160,6 +160,48 @@ def test_argument_validation():
             weighted_bessel_series(x, "abs_k")
 
 
+@pytest.mark.parametrize(
+    "x",
+    [np.int64(2), np.int32(2), np.uint8(2), np.float32(2.0), np.float16(2.0), np.float64(2.0)],
+    ids=repr,
+)
+def test_numpy_scalar_arguments_are_accepted(x):
+    # a numpy integer or floating scalar is the argument float(x) is
+    assert bessel_j(0, x) == bessel_j(0, 2.0)
+    assert bessel_j(-3, x) == bessel_j(-3, 2.0)
+    np.testing.assert_array_equal(bessel_j_row(3, x), bessel_j_row(3, 2.0))
+    assert weighted_bessel_series(x, "abs_k") == weighted_bessel_series(2.0, "abs_k")
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        True,
+        np.bool_(True),
+        np.bool_(False),
+        1.0 + 0.0j,
+        np.complex128(1.0),
+        math.nan,
+        np.float32(math.nan),
+        math.inf,
+        -math.inf,
+        np.float64(math.inf),
+        -1.0,
+        np.int64(-1),
+        np.float32(-0.5),
+    ],
+    ids=repr,
+)
+def test_non_real_or_negative_arguments_are_refused(x):
+    for call in (
+        lambda: bessel_j(0, x),
+        lambda: bessel_j_row(3, x),
+        lambda: weighted_bessel_series(x, "abs_k"),
+    ):
+        with pytest.raises(ValueError, match="argument"):
+            call()
+
+
 def test_order_cap():
     with pytest.raises(ValueError, match="max_order"):
         bessel_j(MAX_ORDER + 1, 1.0)

@@ -11,7 +11,9 @@ from dsff_lab.quadrature import (
     chord_integral,
     disk_grid,
     disk_integral,
+    plane_wave_row_sums,
     quarter_circle_rule,
+    quarter_row_sums,
     real_axis_correction_integral,
     real_axis_correction_line,
 )
@@ -152,6 +154,32 @@ def test_plane_wave_from_row_sums_matches_full_grid(grid):
 
 def test_plane_wave_from_row_sums_at_zero_time_is_pi(grid):
     assert grid.integrate_rows(linear_stat_sums(grid.x, grid.y, 0.0, 0.0)) == math.pi
+
+
+@pytest.mark.parametrize("radial, angular", [(400, 512), (200, 256), (64, 130)])
+def test_plane_wave_quarter_row_sums_match_kernel(radial, angular):
+    # the quarter fold against the kernel's sums over every node; 130 puts a
+    # column on theta = pi/2
+    grid = disk_grid(radial, angular)
+    rng = np.random.default_rng(angular + 1)
+    points = [(0.0, 0.0), (9.5, 0.0), (-4.0, 0.0), *rng.uniform(-20.0, 20.0, (10, 2))]
+    for t, s in points:
+        want = grid.integrate_rows(linear_stat_sums(grid.x, grid.y, t, s)).real
+        assert abs(grid.integrate_rows(plane_wave_row_sums(grid, t, s)) - want) <= 1e-14
+
+
+def test_plane_wave_row_sums_reject_odd_angular_count():
+    with pytest.raises(ValueError, match="angular_nodes"):
+        plane_wave_row_sums(disk_grid(32, 65), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("angular", [512, 130])
+def test_quarter_row_sums_match_every_node(angular):
+    grid = disk_grid(40, angular)
+    f = lambda x, y: np.cos(3.0 * x) + x * x * y**4
+    np.testing.assert_allclose(
+        quarter_row_sums(grid, f), f(grid.x, grid.y).sum(axis=1), rtol=0.0, atol=1e-12
+    )
 
 
 def _real_axis_full_grid(t, s, grid):
