@@ -23,12 +23,9 @@ from .theory import (
     GinibreDsff,
     TheoryPrediction,
     Timescales,
-    dsff_simplified,
     dsff_theory,
-    expectation_linear_stat,
     ginibre_exact_dsff,
     timescales,
-    variance_linear_stat,
 )
 
 __version__ = "0.1.0"

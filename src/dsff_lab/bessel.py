@@ -68,7 +68,11 @@ _TABLE_ELEMENTS = 1 << 16
 def _validate_argument(x):
     """x as a float; Python and numpy integers and floats pass, bools and complex numbers do not."""
     real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-    if not (real and math.isfinite(x)):
+    try:
+        finite = real and math.isfinite(x)
+    except OverflowError:  # an int too large for a double
+        finite = False
+    if not finite:
         raise ValueError(f"argument must be a finite real number, got {x!r}")
     if x < 0:
         raise ValueError(f"argument must be nonnegative, got {x!r}")
@@ -218,8 +222,12 @@ def bessel_j_table(n_max, xs):
     on the running values comes near the limit.
     """
     _validate_order(n_max, nonnegative=True)
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 1 or not np.isfinite(xs).all() or (xs < 0).any():
+    try:
+        xs = np.asarray(xs, dtype=np.float64)
+        valid = xs.ndim == 1 and np.isfinite(xs).all() and not (xs < 0).any()
+    except OverflowError:  # an int too large for a double
+        valid = False
+    if not valid:
         raise ValueError("arguments must be a 1-D array of finite nonnegative reals")
     pos = np.flatnonzero(xs)
     if pos.size and xs[pos].min() < TABLE_MIN_ARGUMENT:

@@ -38,12 +38,12 @@ from .spectra import (
     solver_processes,
 )
 from .svgplot import PALETTE, render_loglog
-from .theory import dsff_theory_grid, ginibre_exact_dsff_grid, timescales
+from .theory import E_TERMS, V_TERMS, dsff_theory_grid, ginibre_exact_dsff_grid, timescales
 
 # Unused here: perfbench/tracing.py wraps these two names on this module and
 # fails if either is missing.
 from .theory import dsff_theory, ginibre_exact_dsff  # noqa: F401
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 __all__ = ["main"]
 
@@ -69,14 +69,8 @@ THEORY_COLUMNS = (
     "k_total",
     "disconnected",
     "connected",
-    "e_leading",
-    "e_laplacian",
-    "e_kappa4",
-    "e_real_axis",
-    "v_gradient",
-    "v_real_ramp",
-    "v_series",
-    "v_kappa4",
+    *(f"e_{name}" for name in E_TERMS),
+    *(f"v_{name}" for name in V_TERMS),
     "validity_warning",
     "N",
 )
@@ -268,29 +262,22 @@ def _cmd_theory(args):
         ]
         _write_text(args.out, _csv_text(config, EXACT_COLUMNS, rows))
         return 0
-    rows = []
-    for tau, p in zip(taus, dsff_theory_grid(taus, args.n, kappa4=args.kappa4, beta=args.beta)):
-        rows.append(
-            (
-                tau.theta,
-                tau.abs_tau,
-                tau.t,
-                tau.s,
-                p.k_total,
-                p.disconnected,
-                p.connected,
-                p.e_terms["leading"],
-                p.e_terms["laplacian"],
-                p.e_terms["kappa4"],
-                p.e_terms["real_axis"],
-                p.v_terms["gradient"],
-                p.v_terms["real_ramp"],
-                p.v_terms["series"],
-                p.v_terms["kappa4"],
-                p.validity_warning,
-                args.n,
-            )
+    rows = [
+        (
+            tau.theta,
+            tau.abs_tau,
+            tau.t,
+            tau.s,
+            p.k_total,
+            p.disconnected,
+            p.connected,
+            *p.e_terms.values(),
+            *p.v_terms.values(),
+            p.validity_warning,
+            args.n,
         )
+        for tau, p in zip(taus, dsff_theory_grid(taus, args.n, kappa4=args.kappa4, beta=args.beta))
+    ]
     _write_text(args.out, _csv_text(config, THEORY_COLUMNS, rows))
     return 0
 
@@ -485,7 +472,7 @@ def build_parser():
     p.add_argument(
         "--suite",
         action="append",
-        choices=("bessel", "quadrature", "theory", "estimator"),
+        choices=tuple(SUITES),
         help="repeatable; default: all suites",
     )
     p.add_argument("--out", default=None, help="JSON report path (default: stdout)")

@@ -100,7 +100,8 @@ class MatrixSample:
 
 
 def _validate_seed(master_seed):
-    if not isinstance(master_seed, int) or not (0 <= master_seed < 2**64):
+    # bool is an int subclass; a seed of True would be saved as "master_seed": true
+    if isinstance(master_seed, bool) or not isinstance(master_seed, int) or not (0 <= master_seed < 2**64):
         raise ValueError(f"master_seed must be an integer in [0, 2^64), got {master_seed!r}")
 
 
@@ -131,7 +132,7 @@ def sample_matrix(spec, master_seed, sample_index):
     or any global RNG state.
     """
     _validate_seed(master_seed)
-    if not isinstance(sample_index, int) or sample_index < 0:
+    if isinstance(sample_index, bool) or not isinstance(sample_index, int) or sample_index < 0:
         raise ValueError(f"sample_index must be a nonnegative integer, got {sample_index!r}")
     rng = _generator(master_seed, sample_index)
     chi = _draw_unit_variance(rng, spec.field, spec.distribution, spec.n)

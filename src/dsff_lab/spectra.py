@@ -195,7 +195,7 @@ def sample_spectra(spec, m, master_seed, parallelism=1):
     `if __name__ == "__main__":` guard, because spawned workers import the
     main module.
     """
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     if parallelism <= 1:
         out = _solve_range(spec, master_seed, 0, m)

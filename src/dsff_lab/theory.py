@@ -7,7 +7,8 @@ spectral statistic of the plane wave. This module evaluates the limiting
 expectation and variance of L (complex entries beta=2, real entries beta=1,
 fourth-cumulant correction kappa4), the resulting form-factor prediction, its
 simplified large-tau form, and the exact asymptotic for the gaussian complex
-ensemble.
+ensemble. E[L]/N and Var(L) are sums of the terms named in E_TERMS and
+V_TERMS; a prediction holds each term's value under its name, in that order.
 
 Every Bessel value of a grid of points comes from one
 bessel.bessel_j_columns call: J_0..J_K(|tau|) with K = truncation_order(|tau|)
@@ -27,13 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import TABLE_MIN_ARGUMENT, bessel_j, bessel_j_columns, truncation_order, weighted_column_sums
+from .bessel import TABLE_MIN_ARGUMENT, bessel_j_columns, truncation_order, weighted_column_sums
 from .quadrature import real_axis_correction_line
 
-# Unused here: perfbench/tracing.py wraps weighted_bessel_series and
+# Unused here: perfbench/tracing.py wraps bessel_j, weighted_bessel_series and
 # real_axis_correction_integral on this module as well as where they are
 # defined, and fails if a name is missing.
-from .bessel import weighted_bessel_series  # noqa: F401
+from .bessel import bessel_j, weighted_bessel_series  # noqa: F401
 from .quadrature import real_axis_correction_integral  # noqa: F401
 
 __all__ = [
@@ -41,11 +42,10 @@ __all__ = [
     "TheoryPrediction",
     "GinibreDsff",
     "Timescales",
-    "expectation_linear_stat",
-    "variance_linear_stat",
+    "E_TERMS",
+    "V_TERMS",
     "dsff_theory",
     "dsff_theory_grid",
-    "dsff_simplified",
     "ginibre_exact_dsff",
     "ginibre_exact_dsff_grid",
     "timescales",
@@ -65,7 +65,11 @@ class ComplexTime:
     s: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and math.isfinite(self.s)):
+        try:
+            finite = math.isfinite(self.t) and math.isfinite(self.s)
+        except OverflowError:  # an int too large for a double
+            finite = False
+        if not finite:
             raise ValueError("t and s must be finite")
 
     @classmethod
@@ -125,52 +129,38 @@ def _validate(n, beta=2):
 
 _SERIES_WEIGHT = {1: "abs_k_sin_sq", 2: "abs_k"}
 
+# The terms of E[L]/N and of Var(L), in the order of the theory CSV's e_ and
+# v_ columns.
+E_TERMS = ("leading", "laplacian", "kappa4", "real_axis")
+V_TERMS = ("gradient", "real_ramp", "series", "kappa4")
+
 
 def _terms(x, bessel, n, kappa4, beta, real):
-    """(e_terms, v_terms): the terms of E[L]/N and of Var(L) at |tau| = x.
+    """(e_terms, v_terms): the values of E_TERMS and of V_TERMS at |tau| = x.
 
     x is an array over points; bessel is (J_0(x), J_1(x)/x, J_3(x)/x,
     series) and, at beta=1, real is (I(t, s), J_0(|t|), cos t, t^2 - s^2,
     J_1(2|s|)/|s|), arrays of the same length. Every term is such an array.
+
+    E[L]/N = 2J_1/|tau| - |tau| J_1/(4N) + 4 kappa4 J_3/(|tau| N), plus at
+    beta=1 the real-axis correction (I - J_0(|tau|) + J_0(t)/2 + cos(t)/2)/N.
+    Var(L) = |tau|^2/4 + (1/2) sum |k| J_k^2 + kappa4 (2J_1/|tau| - J_0)^2 at
+    beta=2; beta=1 adds (t^2 - s^2) J_1(2|s|)/(4|s|) and has the series
+    sum |k| sin^2(phi k) J_k^2 instead.
     """
     j0, j1x, j3x, series = bessel
     zero, xx, leading = np.zeros(x.shape), x * x, 2.0 * j1x
-    e_terms = {
-        "leading": leading,
-        "laplacian": -xx * j1x / (4.0 * n),
-        "kappa4": 4.0 * kappa4 * j3x / n,
-        "real_axis": zero,
-    }
-    v_terms = {"gradient": xx / 4.0, "real_ramp": zero, "series": 0.5 * series}
+    real_axis = real_ramp = zero
     if beta == 1:
         line, j0_t, cos_t, ramp, j1_2s_over_s = real
-        e_terms["real_axis"] = (line - j0 + j0_t / 2.0 + cos_t / 2.0) / n
-        v_terms["real_ramp"] = ramp * j1_2s_over_s / 4.0
-        v_terms["series"] = series
+        real_axis = (line - j0 + j0_t / 2.0 + cos_t / 2.0) / n
+        real_ramp = ramp * j1_2s_over_s / 4.0
+    else:
+        series = 0.5 * series
     coeff = leading - j0
-    v_terms["kappa4"] = kappa4 * (coeff * coeff)
+    e_terms = (leading, -xx * j1x / (4.0 * n), 4.0 * kappa4 * j3x / n, real_axis)
+    v_terms = (xx / 4.0, real_ramp, series, kappa4 * (coeff * coeff))
     return e_terms, v_terms
-
-
-def expectation_linear_stat(tau, n, kappa4=0.0, beta=2):
-    """E[L] for L = sum_j exp(i(t x_j + s y_j)) over the N eigenvalues.
-
-    Real to the stated order for both symmetry classes; tau = 0 gives exactly
-    N. The beta=1 branch adds the real-axis correction
-    I(t,s) - J_0(|tau|) + J_0(t)/2 + cos(t)/2, with I from the 1-D angular
-    Gauss-Legendre rule quadrature.real_axis_correction_line.
-    """
-    return n * dsff_theory(tau, n, kappa4=kappa4, beta=beta).e_value
-
-
-def variance_linear_stat(tau, kappa4=0.0, beta=2):
-    """Limiting Var(L); nonnegative, 0 at tau = 0.
-
-    beta=2: |tau|^2/4 + (1/2) sum |k| J_k^2 + kappa4 (2J_1/|tau| - J_0)^2.
-    beta=1: |tau|^2/4 + (t^2-s^2) J_1(2s)/(4s) + sum |k| sin^2(phi k) J_k^2
-            + the same kappa4 term.
-    """
-    return dsff_theory(tau, 1, kappa4=kappa4, beta=beta).v_value
 
 
 @dataclass(frozen=True)
@@ -196,6 +186,17 @@ class TheoryPrediction:
     @property
     def k_total(self):
         return self.disconnected + self.connected
+
+    @property
+    def k_simplified(self):
+        """Reduced prediction 4J_1^2/|tau|^2 + (|tau|^2/4 + anisotropy)/N^2.
+
+        The leading expectation term squared plus the gradient and real_ramp
+        variance terms over N^2; the anisotropy (t^2 - s^2) J_1(2s)/(4s) is
+        real_ramp, 0 at beta=2. It is 1 at tau = 0.
+        """
+        e, v = self.e_terms, self.v_terms
+        return e["leading"] ** 2 + (v["gradient"] + v["real_ramp"]) / self.n**2
 
 
 def dsff_theory(tau, n, kappa4=0.0, beta=2):
@@ -241,8 +242,8 @@ def dsff_theory_grid(taus, n, kappa4=0.0, beta=2):
     bessel = (columns[0, :size], j1x, _j3_over_x(x, columns[3, :size]), series)
     e_terms, v_terms = _terms(x, bessel, n, kappa4, beta, real)
     # every term as a row of one array, read out by one tolist per part
-    values = np.array([*e_terms.values(), *v_terms.values()])
-    e_points, v_points = values[: len(e_terms)].T.tolist(), values[len(e_terms) :].T.tolist()
+    values = np.array([*e_terms, *v_terms])
+    e_points, v_points = values[: len(E_TERMS)].T.tolist(), values[len(E_TERMS) :].T.tolist()
     warnings = (x > n ** (2.0 / 7.0)).tolist()
     return [
         TheoryPrediction(
@@ -252,28 +253,12 @@ def dsff_theory_grid(taus, n, kappa4=0.0, beta=2):
             kappa4=kappa4,
             e_value=sum(e),
             v_value=sum(v),
-            e_terms=dict(zip(e_terms, e)),
-            v_terms=dict(zip(v_terms, v)),
+            e_terms=dict(zip(E_TERMS, e)),
+            v_terms=dict(zip(V_TERMS, v)),
             validity_warning=warning,
         )
         for tau, e, v, warning in zip(taus, e_points, v_points, warnings)
     ]
-
-
-def dsff_simplified(tau, n, beta=2):
-    """Reduced prediction 4J_1^2/|tau|^2 + (|tau|^2/4 + anisotropy)/N^2.
-
-    The anisotropy term (t^2 - s^2)(2/beta - 1) J_1(2s)/(4s) only survives
-    for beta=1. Requires |tau| > 0.
-    """
-    _validate(n, beta)
-    x = tau.abs_tau
-    if x == 0.0:
-        raise ValueError("simplified prediction is undefined at tau = 0")
-    j1x = _j1_over_x(x, bessel_j(1, x))
-    j1_2s_over_s = _j1_2s_over_s(tau.s, bessel_j(1, 2.0 * abs(tau.s)))
-    aniso = (2.0 / beta - 1.0) * (tau.t**2 - tau.s**2) * j1_2s_over_s / 4.0
-    return float(4.0 * j1x * j1x + (x * x / 4.0 + aniso) / n**2)
 
 
 @dataclass(frozen=True)

@@ -22,16 +22,7 @@ from .bessel import bessel_j, bessel_j_row, truncation_order, weighted_bessel_se
 from .ensembles import EnsembleSpec
 from .estimator import estimate_from_linear_stats
 from .spectra import SpectrumSet
-from .theory import (
-    ComplexTime,
-    dsff_simplified,
-    dsff_theory,
-    dsff_theory_grid,
-    expectation_linear_stat,
-    ginibre_exact_dsff,
-    timescales,
-    variance_linear_stat,
-)
+from .theory import ComplexTime, dsff_theory, dsff_theory_grid, ginibre_exact_dsff, timescales
 
 __all__ = ["Check", "SUITES", "run_suites"]
 
@@ -109,6 +100,16 @@ def suite_bessel():
     )
     checks.append(
         _check("abs_k_sum_upper_bound", max(dev, 0.0), 1e-12, "sum |k| J_k^2 <= x/sqrt(2)")
+    )
+
+    # the value itself, not only its bound: the beta=2 variance series
+    dev = 0.0
+    for x in (0.5, 1.0, 4.0, 15.0, 40.0):
+        j0, j1 = bessel_j(0, x), bessel_j(1, x)
+        closed = x * x * (j0 * j0 + j1 * j1) - x * j0 * j1
+        dev = max(dev, abs(weighted_bessel_series(x, "abs_k") - closed) / closed)
+    checks.append(
+        _check("abs_k_sum_closed_form", dev, 1e-12, "sum |k| J_k^2 = x^2 (J_0^2 + J_1^2) - x J_0 J_1")
     )
 
     dev = 0.0
@@ -333,17 +334,12 @@ def suite_theory():
         dev = max(dev, abs(rot.v_value - base.v_value) / base.v_value)
     checks.append(_check("rotation_invariance_complex", dev, 1e-12, "beta=2 depends on |tau| only"))
 
-    tau = ComplexTime(1.5, 0.7)
-    e0 = expectation_linear_stat(tau, 300, kappa4=-2.0, beta=1)
-    v0 = variance_linear_stat(tau, kappa4=-2.0, beta=1)
+    p0 = dsff_theory(ComplexTime(1.5, 0.7), 300, kappa4=-2.0, beta=1)
     dev = 0.0
     for flipped in (ComplexTime(-1.5, 0.7), ComplexTime(1.5, -0.7), ComplexTime(-1.5, -0.7)):
-        dev = max(
-            dev,
-            abs(expectation_linear_stat(flipped, 300, kappa4=-2.0, beta=1) - e0)
-            / abs(e0),
-            abs(variance_linear_stat(flipped, kappa4=-2.0, beta=1) - v0) / v0,
-        )
+        p = dsff_theory(flipped, 300, kappa4=-2.0, beta=1)
+        e_dev = abs(p.e_value - p0.e_value) / abs(p0.e_value)
+        dev = max(dev, e_dev, abs(p.v_value - p0.v_value) / p0.v_value)
     checks.append(_check("reflection_invariance_real", dev, 1e-12, "beta=1 even in t and in s"))
 
     dev = 0.0
@@ -385,7 +381,7 @@ def suite_theory():
 
     dev = 0.0
     for beta in (1, 2):
-        e = expectation_linear_stat(ComplexTime(0.0, 0.0), 700, kappa4=-1.0, beta=beta)
+        e = 700 * dsff_theory(ComplexTime(0.0, 0.0), 700, kappa4=-1.0, beta=beta).e_value
         dev = max(dev, abs(e - 700.0) / 700.0)
     checks.append(_check("expectation_tau0_equals_n", dev, 1e-12, "E[L](0) = N both classes"))
 
@@ -397,18 +393,14 @@ def suite_theory():
     ratio = x1 / n1 ** (2.0 / 7.0)
     gap1 = 0.0
     for beta in (1, 2):
-        tau = ComplexTime.from_polar(x1, 0.0)
-        full = dsff_theory(tau, n1, kappa4=0.0, beta=beta).k_total
-        simp = dsff_simplified(tau, n1, beta=beta)
-        gap1 = max(gap1, abs(full - simp) / simp)
+        p = dsff_theory(ComplexTime.from_polar(x1, 0.0), n1, kappa4=0.0, beta=beta)
+        gap1 = max(gap1, abs(p.k_total - p.k_simplified) / p.k_simplified)
     checks.append(_check("simplified_tracks_full_5pct", gap1, 0.05, "|tau|=12, N=1e6, both beta"))
 
     x2 = 24.0
     n2 = int(round((x2 / ratio) ** 3.5))
-    tau = ComplexTime.from_polar(x2, 0.0)
-    gap2 = abs(
-        dsff_theory(tau, n2, kappa4=0.0, beta=2).k_total - dsff_simplified(tau, n2, beta=2)
-    ) / dsff_simplified(tau, n2, beta=2)
+    p = dsff_theory(ComplexTime.from_polar(x2, 0.0), n2, kappa4=0.0, beta=2)
+    gap2 = abs(p.k_total - p.k_simplified) / p.k_simplified
     checks.append(
         _check(
             "simplified_gap_shrinks_with_n",

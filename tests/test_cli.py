@@ -74,9 +74,10 @@ def test_csv_schema_and_config(tmp_path):
     assert config["command"] == "estimate"
     assert "backend" not in config
     assert config["spec"]["n"] == 16
-    assert lines[2] == (
-        "theta,abs_tau,t,s,k_mean,k_stderr,disconnected_unbiased,connected,contact,M,N"
-    )
+    assert lines[2].split(",") == [
+        "theta", "abs_tau", "t", "s", "k_mean", "k_stderr", "disconnected_unbiased", "connected", "contact",
+        "M", "N",
+    ]
     # floats round-trip through repr
     first = lines[3].split(",")
     assert float(first[1]) == 0.3
@@ -85,8 +86,11 @@ def test_csv_schema_and_config(tmp_path):
     tlines = Path(thy_csv).read_text().splitlines()
     tconfig = json.loads(tlines[1][len("# config: "):])
     assert tconfig["command"] == "theory"
-    assert tlines[2].split(",")[:7] == [
+    assert tlines[2].split(",") == [
         "theta", "abs_tau", "t", "s", "k_total", "disconnected", "connected",
+        "e_leading", "e_laplacian", "e_kappa4", "e_real_axis",
+        "v_gradient", "v_real_ramp", "v_series", "v_kappa4",
+        "validity_warning", "N",
     ]
 
 

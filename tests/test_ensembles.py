@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dsff_lab.ensembles import DISTRIBUTIONS, FIELDS, EnsembleSpec, sample_matrix
+from dsff_lab.spectra import sample_spectra
 
 # fourth cumulant of the normalized entry law, per (field, distribution)
 KAPPA4_TABLE = {
@@ -87,6 +88,25 @@ def test_seed_validation():
         sample_matrix(spec, -1, 0)
     with pytest.raises(ValueError, match="master_seed"):
         sample_matrix(spec, 2**64, 0)
+
+
+# bool is an int subclass: a seed of True would be saved as "master_seed": true,
+# which load_spectra refuses, and an index of True would draw sample 1
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda spec: sample_matrix(spec, True, 0), "master_seed"),
+        (lambda spec: sample_matrix(spec, 3, True), "sample_index"),
+        (lambda spec: sample_matrix(spec, 3, False), "sample_index"),
+        (lambda spec: sample_spectra(spec, 2, True), "master_seed"),
+        (lambda spec: sample_spectra(spec, True, 3), "m must"),
+    ],
+    ids=["matrix-seed", "matrix-index-true", "matrix-index-false", "spectra-seed", "spectra-m"],
+)
+def test_bool_seed_index_and_m_are_refused(call, name):
+    spec = EnsembleSpec(field="real", distribution="gaussian", n=4)
+    with pytest.raises(ValueError, match=name):
+        call(spec)
 
 
 def test_entry_scaling_unit_total_variance():

@@ -2,19 +2,18 @@ import math
 
 import pytest
 
-from dsff_lab.bessel import TABLE_MIN_ARGUMENT
+from dsff_lab.bessel import TABLE_MIN_ARGUMENT, bessel_j, bessel_j_columns, bessel_j_table
 from dsff_lab.estimator import build_tau_grid
-from dsff_lab.quadrature import LINE_PANEL_PHASE
+from dsff_lab.quadrature import LINE_PANEL_PHASE, real_axis_correction_line
 from dsff_lab.theory import (
+    E_TERMS,
+    V_TERMS,
     ComplexTime,
-    dsff_simplified,
     dsff_theory,
     dsff_theory_grid,
-    expectation_linear_stat,
     ginibre_exact_dsff,
     ginibre_exact_dsff_grid,
     timescales,
-    variance_linear_stat,
 )
 
 
@@ -42,10 +41,30 @@ def test_complex_time_validation():
         ComplexTime.from_polar(-1.0, 0.0)
 
 
+# a Python int above the largest double is refused like every other
+# non-finite argument, not by OverflowError or numpy's casting error
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bessel_j(0, 10**400),
+        lambda: bessel_j_columns([0], [10**400]),
+        lambda: bessel_j_table(0, [10**400]),
+        lambda: ComplexTime(10**400, 0),
+        lambda: ComplexTime(0, -(10**400)),
+        lambda: real_axis_correction_line(10**400, 1.0),
+        lambda: real_axis_correction_line(1.0, [2.0, 10**400]),
+    ],
+    ids=["bessel_j", "bessel_j_columns", "bessel_j_table", "tau_t", "tau_s", "line_t", "line_s"],
+)
+def test_ints_too_large_for_a_double_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 # frozen against 30-digit arithmetic (Bessel values, weighted Bessel sums
 # and disk integrals all recomputed independently)
 def test_expectation_frozen_real_case():
-    val = expectation_linear_stat(ComplexTime(1.5, 0.7), 50, kappa4=-1.0, beta=1)
+    val = 50 * dsff_theory(ComplexTime(1.5, 0.7), 50, kappa4=-1.0, beta=1).e_value
     assert val == pytest.approx(34.205165059783371, rel=1e-12, abs=0.0)
 
 
@@ -58,16 +77,14 @@ def test_theory_does_not_touch_the_disk_grid(monkeypatch):
     for name in ("disk_grid", "real_axis_correction_integral"):
         monkeypatch.setattr(quadrature, name, refuse)
     monkeypatch.setattr(theory, "real_axis_correction_integral", refuse)
-    tau = ComplexTime(1.5, 0.7)
-    val = expectation_linear_stat(tau, 50, kappa4=-1.0, beta=1)
+    val = 50 * dsff_theory(ComplexTime(1.5, 0.7), 50, kappa4=-1.0, beta=1).e_value
     assert val == pytest.approx(34.205165059783371, rel=1e-12, abs=0.0)
-    assert dsff_theory(tau, 50, kappa4=-1.0, beta=1).e_value * 50 == pytest.approx(val, rel=1e-15, abs=0.0)
 
 
 def test_variance_frozen_values():
-    v1 = variance_linear_stat(ComplexTime(1.5, 0.7), kappa4=-1.0, beta=1)
+    v1 = dsff_theory(ComplexTime(1.5, 0.7), 1, kappa4=-1.0, beta=1).v_value
     assert v1 == pytest.approx(1.6718727015049752, rel=1e-12, abs=0.0)
-    v2 = variance_linear_stat(ComplexTime.from_polar(3.0, 0.4), kappa4=-0.6, beta=2)
+    v2 = dsff_theory(ComplexTime.from_polar(3.0, 0.4), 1, kappa4=-0.6, beta=2).v_value
     assert v2 == pytest.approx(3.0621345740392813, rel=1e-12, abs=0.0)
 
 
@@ -94,12 +111,12 @@ def test_j1_over_x_at_subnormal_argument():
 
 def test_expectation_at_origin_is_n():
     for beta in (1, 2):
-        assert expectation_linear_stat(ComplexTime(0.0, 0.0), 77, beta=beta) == 77.0
+        assert 77 * dsff_theory(ComplexTime(0.0, 0.0), 77, beta=beta).e_value == 77.0
 
 
 def test_variance_at_origin_is_zero():
     for beta in (1, 2):
-        assert variance_linear_stat(ComplexTime(0.0, 0.0), kappa4=-2.0, beta=beta) == 0.0
+        assert dsff_theory(ComplexTime(0.0, 0.0), 1, kappa4=-2.0, beta=beta).v_value == 0.0
 
 
 def test_dsff_at_origin_is_one():
@@ -111,8 +128,10 @@ def test_dsff_at_origin_is_one():
 
 def test_prediction_structure():
     p = dsff_theory(ComplexTime(1.0, 2.0), 100, kappa4=-2.0, beta=1)
-    assert set(p.e_terms) == {"leading", "laplacian", "kappa4", "real_axis"}
-    assert set(p.v_terms) == {"gradient", "real_ramp", "series", "kappa4"}
+    assert E_TERMS == ("leading", "laplacian", "kappa4", "real_axis")
+    assert V_TERMS == ("gradient", "real_ramp", "series", "kappa4")
+    assert tuple(p.e_terms) == E_TERMS
+    assert tuple(p.v_terms) == V_TERMS
     assert sum(p.e_terms.values()) == pytest.approx(p.e_value, rel=1e-15, abs=0.0)
     assert sum(p.v_terms.values()) == pytest.approx(p.v_value, rel=1e-15, abs=0.0)
     assert p.k_total == pytest.approx(p.disconnected + p.connected, rel=1e-15, abs=0.0)
@@ -140,33 +159,44 @@ def test_beta_validation():
     with pytest.raises(ValueError, match="beta"):
         dsff_theory(ComplexTime(1.0, 0.0), 10, beta=3)
     with pytest.raises(ValueError, match="beta"):
-        variance_linear_stat(ComplexTime(1.0, 0.0), beta=0)
+        dsff_theory(ComplexTime(1.0, 0.0), 1, beta=0)
 
 
 def test_n_validation():
     with pytest.raises(ValueError):
         dsff_theory(ComplexTime(1.0, 0.0), 0)
     with pytest.raises(ValueError):
-        expectation_linear_stat(ComplexTime(1.0, 0.0), -5)
+        dsff_theory(ComplexTime(1.0, 0.0), -5)
 
 
 def test_simplified_frozen_value():
-    val = dsff_simplified(ComplexTime(3.0, 4.0), 500, beta=1)
+    val = dsff_theory(ComplexTime(3.0, 4.0), 500, beta=1).k_simplified
     assert val == pytest.approx(0.017193884008019902, rel=1e-12, abs=0.0)
 
 
-def test_simplified_rejects_origin():
-    with pytest.raises(ValueError, match="tau = 0"):
-        dsff_simplified(ComplexTime(0.0, 0.0), 100)
+def test_simplified_at_origin_is_one():
+    for beta in (1, 2):
+        assert dsff_theory(ComplexTime(0.0, 0.0), 100, kappa4=-1.0, beta=beta).k_simplified == 1.0
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_simplified_is_the_reduced_formula(beta):
+    # 4 J_1^2/|tau|^2 + (|tau|^2/4 + (2/beta - 1)(t^2 - s^2) J_1(2|s|)/(4|s|))/N^2
+    n = 300
+    for tau in (ComplexTime(3.0, 4.0), ComplexTime(-0.2, 0.05), ComplexTime.from_polar(25.0, 2.0)):
+        x, t, s = tau.abs_tau, tau.t, abs(tau.s)
+        aniso = (2.0 / beta - 1.0) * (t * t - s * s) * bessel_j(1, 2.0 * s) / (4.0 * s)
+        want = 4.0 * (bessel_j(1, x) / x) ** 2 + (x * x / 4.0 + aniso) / n**2
+        got = dsff_theory(tau, n, kappa4=-1.0, beta=beta).k_simplified
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_simplified_tracks_full_theory_at_large_n():
     n = 10**6
     for beta in (1, 2):
         tau = ComplexTime.from_polar(12.0, 0.0)
-        full = dsff_theory(tau, n, kappa4=0.0, beta=beta).k_total
-        simp = dsff_simplified(tau, n, beta=beta)
-        assert abs(full - simp) / simp < 0.05
+        p = dsff_theory(tau, n, kappa4=0.0, beta=beta)
+        assert abs(p.k_total - p.k_simplified) / p.k_simplified < 0.05
 
 
 def test_ginibre_frozen_value():

@@ -15,6 +15,7 @@ CHECKS = {
         ("squared_sum_unity", 1e-10),
         ("k_squared_sum_relative", 1e-08),
         ("abs_k_sum_upper_bound", 1e-12),
+        ("abs_k_sum_closed_form", 1e-12),
         ("graf_addition", 1e-09),
         ("derivative_identity_l1", 1e-06),
         ("asymptotic_envelope_x200", 0.0),
@@ -77,7 +78,7 @@ def test_check_names_are_pinned(report):
     assert list(SUITES) == list(CHECKS)
     for suite, checks in CHECKS.items():
         assert [c["name"] for c in report["suites"][suite]] == [name for name, _ in checks]
-    assert sum(map(len, CHECKS.values())) == 49
+    assert sum(map(len, CHECKS.values())) == 50
 
 
 def test_check_tolerances_are_pinned(report):
