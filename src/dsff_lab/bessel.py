@@ -70,8 +70,8 @@ def _validate_argument(x):
     real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
     try:
         finite = real and math.isfinite(x)
-    except OverflowError:  # an int too large for a double
-        finite = False
+    except OverflowError:  # an int too large for a double, whose repr may itself fail
+        raise ValueError("argument must be a finite real number, got an int too large for a double") from None
     if not finite:
         raise ValueError(f"argument must be a finite real number, got {x!r}")
     if x < 0:

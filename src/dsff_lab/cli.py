@@ -20,6 +20,7 @@ spectral radius, the estimator's route) go to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -110,7 +111,7 @@ def _config_line(obj):
 
 def _csv_text(config, columns, rows):
     lines = ["# " + SCHEMA, _config_line(config), ",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -419,7 +420,14 @@ def _add_grid_arguments(sub):
     sub.add_argument("--spacing", choices=("log", "linear"), default="log")
 
 
+@functools.cache
 def build_parser():
+    """The dsff-lab parser, built once per process.
+
+    parse_args leaves the parser as it is and fills a fresh namespace on each
+    call, and the subcommand functions look up the pipeline functions in this
+    module when they run, so reusing the parser changes no call's outcome.
+    """
     parser = argparse.ArgumentParser(
         prog="dsff-lab",
         description="Dissipative spectral form factor laboratory: sampling, estimation, predictions.",

@@ -263,6 +263,9 @@ def real_axis_correction_line(t, s):
     The result holds I at each (t, s), the points of one panel count taken
     at once; a scalar call is this route at one point and returns a float.
     """
+    t, s = np.asarray(t), np.asarray(s)
+    if np.iscomplexobj(t) or np.iscomplexobj(s):  # np.abs would take the modulus
+        raise ValueError("t and s must be finite reals, got a complex value")
     try:
         t, s = np.broadcast_arrays(np.abs(t, dtype=np.float64), np.abs(s, dtype=np.float64))
     except TypeError as exc:  # not real numbers, or an int too large for a double

@@ -12,6 +12,7 @@ raise distinct errors so callers can tell corruption from version skew.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import threading
@@ -107,9 +108,9 @@ class SpectrumSet:
     def n(self):
         return self.eigenvalues.shape[1]
 
-    @property
+    @functools.cached_property
     def spectral_radius(self):
-        """max |lambda| over every sampled eigenvalue."""
+        """max |lambda| over every sampled eigenvalue, computed once per set."""
         return float(np.abs(self.eigenvalues).max())
 
 

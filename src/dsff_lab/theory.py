@@ -65,6 +65,9 @@ class ComplexTime:
     s: float
 
     def __post_init__(self):
+        for value in (self.t, self.s):
+            if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+                raise ValueError(f"t and s must be real numbers, got {type(value).__name__}")
         try:
             finite = math.isfinite(self.t) and math.isfinite(self.s)
         except OverflowError:  # an int too large for a double

@@ -276,6 +276,34 @@ def test_verify_prints_suite_seconds_outside_the_report(tmp_path, capsys):
     assert "seconds" not in report_path.read_text()
 
 
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_does_not_carry_suites_into_the_next_call(tmp_path):
+    first, second = tmp_path / "bessel.json", tmp_path / "all.json"
+    assert main(["verify", "--suite", "bessel", "--out", str(first)]) == 0
+    assert main(["verify", "--out", str(second)]) == 0
+    assert set(json.loads(first.read_text())["suites"]) == {"bessel"}
+    assert set(json.loads(second.read_text())["suites"]) == {"bessel", "quadrature", "theory", "estimator"}
+
+
+def test_reused_parser_gives_the_same_theory_bytes(tmp_path):
+    argv = ["theory", "--n", "64", "--beta", "1", "--theta", "0.4", "--points", "12"]
+    first, other, third = (tmp_path / name for name in ("first.csv", "other.csv", "third.csv"))
+    assert main([*argv, "--out", str(first)]) == 0
+    assert main(["theory", "--n", "32", "--exact-gaussian", "--spacing", "linear", "--out", str(other)]) == 0
+    assert main([*argv, "--out", str(third)]) == 0
+    assert first.read_bytes() == third.read_bytes()
+    assert first.read_bytes() != other.read_bytes()
+
+
+def test_csv_row_formatting():
+    row = (True, False, 3, 0.1, -0.0, math.nan, math.inf, np.float64(0.1))
+    text = cli._csv_text({"command": "x"}, ["c"] * len(row), [row])
+    assert text.splitlines()[3] == "1,0,3,0.1,-0.0,nan,inf,0.1"
+
+
 def test_theory_tau_grid_default_reaches_past_plateau(tmp_path):
     out = str(tmp_path / "default.csv")
     assert main(["theory", "--n", "100", "--points", "5", "--out", out]) == 0

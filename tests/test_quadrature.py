@@ -241,6 +241,16 @@ def test_real_axis_line_rejects_non_finite(bad):
             real_axis_correction_line(t, s)
 
 
+# np.abs of a complex argument is its modulus, which is no real-axis time
+@pytest.mark.parametrize(
+    "t, s",
+    [(1.5j, 0.7), (1.5, 0.7j), (1.5 + 0j, 0.7), (np.array([1.5j, 2.0]), 0.7), (1.5, np.array([0.7, 2.0 + 0j]))],
+)
+def test_real_axis_line_refuses_complex_arguments(t, s):
+    with pytest.raises(ValueError, match="complex"):
+        real_axis_correction_line(t, s)
+
+
 def test_real_axis_line_vanishes_at_s_zero():
     for t in (0.0, 2.7, 300.0):
         assert real_axis_correction_line(t, 0.0) == 0.0

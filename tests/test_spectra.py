@@ -4,7 +4,9 @@ import pickle
 import numpy as np
 import pytest
 
+from dsff_lab import spectra
 from dsff_lab.ensembles import EnsembleSpec, MatrixSample
+from dsff_lab.estimator import build_tau_grid, dsff_grid, ray_order
 from dsff_lab.spectra import (
     CacheHeaderError,
     CacheLengthError,
@@ -95,6 +97,28 @@ def test_spectrum_set_shape_must_match_spec():
         with pytest.raises(ValueError, match="shape"):
             SpectrumSet(spec=spec, master_seed=0, eigenvalues=bad)
     assert SpectrumSet(spec=spec, master_seed=0, eigenvalues=np.zeros((8, 30), complex)).n == 30
+
+
+def test_spectral_radius_is_computed_once_per_set(monkeypatch):
+    class CountingNumpy:
+        abs_calls = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def abs(self, x):
+            self.abs_calls += 1
+            return np.abs(x)
+
+    sset = sample_spectra(SPEC, 6, 21)
+    counting = CountingNumpy()
+    monkeypatch.setattr(spectra, "np", counting)
+    taus = build_tau_grid(0.4, 0.1, 8.0, 10, "log")
+    dsff_grid(sset, taus)
+    ray_order(sset, taus)
+    assert counting.abs_calls == 1
+    assert sset.spectral_radius == float(np.abs(sset.eigenvalues).max())
+    assert counting.abs_calls == 1
 
 
 def test_sample_spectra_validation():

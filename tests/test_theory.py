@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dsff_lab.bessel import TABLE_MIN_ARGUMENT, bessel_j, bessel_j_columns, bessel_j_table
@@ -41,24 +42,41 @@ def test_complex_time_validation():
         ComplexTime.from_polar(-1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "bad", ["a", 1j, None, True, np.bool_(False), [1.0]], ids=["str", "complex", "none", "bool", "np_bool", "list"]
+)
+def test_complex_time_refuses_non_real_coordinates(bad):
+    with pytest.raises(ValueError, match="real numbers"):
+        ComplexTime(bad, 0.0)
+    with pytest.raises(ValueError, match="real numbers"):
+        ComplexTime(0.0, bad)
+
+
+@pytest.mark.parametrize("good", [2, 2.0, np.int32(2), np.float32(2.0), np.float64(2.0)])
+def test_complex_time_takes_python_and_numpy_reals(good):
+    assert ComplexTime(good, 0.5).abs_tau == math.hypot(2.0, 0.5)
+
+
 # a Python int above the largest double is refused like every other
-# non-finite argument, not by OverflowError or numpy's casting error
+# non-finite argument, not by OverflowError, numpy's casting error or the
+# interpreter's limit on converting a long int to a string
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: bessel_j(0, 10**400),
-        lambda: bessel_j_columns([0], [10**400]),
-        lambda: bessel_j_table(0, [10**400]),
-        lambda: ComplexTime(10**400, 0),
-        lambda: ComplexTime(0, -(10**400)),
-        lambda: real_axis_correction_line(10**400, 1.0),
-        lambda: real_axis_correction_line(1.0, [2.0, 10**400]),
+        lambda big: bessel_j(0, big),
+        lambda big: bessel_j_columns([0], [big]),
+        lambda big: bessel_j_table(0, [big]),
+        lambda big: ComplexTime(big, 0),
+        lambda big: ComplexTime(0, -big),
+        lambda big: real_axis_correction_line(big, 1.0),
+        lambda big: real_axis_correction_line(1.0, [2.0, big]),
     ],
     ids=["bessel_j", "bessel_j_columns", "bessel_j_table", "tau_t", "tau_s", "line_t", "line_s"],
 )
 def test_ints_too_large_for_a_double_are_refused(call):
-    with pytest.raises(ValueError):
-        call()
+    for big in (10**400, 10**5000):
+        with pytest.raises(ValueError, match="finite"):
+            call(big)
 
 
 # frozen against 30-digit arithmetic (Bessel values, weighted Bessel sums
