@@ -1,10 +1,11 @@
 """dsff-lab: dissipative spectral form factor of i.i.d. random matrices.
 
-Analytic predictions (Bessel-series expectation/variance of the plane-wave
-linear statistic, simplified and exact-gaussian forms), Monte Carlo matrix
-ensembles with counter-based reproducible sampling, an unbiased DSFF
-estimator with contact/disconnected/connected decomposition, and a CLI
-(``dsff-lab``) tying them together.
+Analytic predictions (expectation and variance of the plane-wave linear
+statistic, from Bessel series or the exact-gaussian asymptotic, as one
+prediction type), Monte Carlo matrix ensembles with counter-based
+reproducible sampling, an unbiased DSFF estimator with
+contact/disconnected/connected decomposition, and a CLI (``dsff-lab``)
+tying them together.
 """
 from .bessel import bessel_j, bessel_j_row, weighted_bessel_series
 from .ensembles import EnsembleSpec, MatrixSample, sample_matrix
@@ -20,7 +21,6 @@ from .quadrature import (
 from .spectra import SpectrumSet, eigenvalues, load_spectra, sample_spectra, save_spectra
 from .theory import (
     ComplexTime,
-    GinibreDsff,
     TheoryPrediction,
     Timescales,
     dsff_theory,

@@ -65,11 +65,15 @@ _TABLE_STEP_COST = 12
 _TABLE_ELEMENTS = 1 << 16
 
 
+def _is_real(x):
+    """Whether x is a Python or numpy integer or float; bools and complex numbers are not."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _validate_argument(x):
-    """x as a float; Python and numpy integers and floats pass, bools and complex numbers do not."""
-    real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    """x as a float, or ValueError."""
     try:
-        finite = real and math.isfinite(x)
+        finite = _is_real(x) and math.isfinite(x)
     except OverflowError:  # an int too large for a double, whose repr may itself fail
         raise ValueError("argument must be a finite real number, got an int too large for a double") from None
     if not finite:
@@ -223,9 +227,12 @@ def bessel_j_table(n_max, xs):
     """
     _validate_order(n_max, nonnegative=True)
     try:
-        xs = np.asarray(xs, dtype=np.float64)
-        valid = xs.ndim == 1 and np.isfinite(xs).all() and not (xs < 0).any()
-    except OverflowError:  # an int too large for a double
+        # a float64 cast would take a bool as 0 or 1 and drop an imaginary part
+        real = all(map(_is_real, xs.tolist() if isinstance(xs, np.ndarray) else xs))
+        if real:
+            xs = np.asarray(xs, dtype=np.float64)
+        valid = real and xs.ndim == 1 and np.isfinite(xs).all() and not (xs < 0).any()
+    except (OverflowError, TypeError):  # an int too large for a double, or xs not a sequence
         valid = False
     if not valid:
         raise ValueError("arguments must be a 1-D array of finite nonnegative reals")

@@ -39,7 +39,7 @@ from .spectra import (
     solver_processes,
 )
 from .svgplot import PALETTE, render_loglog
-from .theory import E_TERMS, V_TERMS, dsff_theory_grid, ginibre_exact_dsff_grid, timescales
+from .theory import dsff_theory_grid, ginibre_exact_dsff_grid, timescales
 
 # Unused here: perfbench/tracing.py wraps these two names on this module and
 # fails if either is missing.
@@ -61,22 +61,6 @@ ESTIMATE_COLUMNS = (
     "M",
     "N",
 )
-
-THEORY_COLUMNS = (
-    "theta",
-    "abs_tau",
-    "t",
-    "s",
-    "k_total",
-    "disconnected",
-    "connected",
-    *(f"e_{name}" for name in E_TERMS),
-    *(f"v_{name}" for name in V_TERMS),
-    "validity_warning",
-    "N",
-)
-
-EXACT_COLUMNS = ("theta", "abs_tau", "t", "s", "k_total", "contact", "disconnected", "connected", "N")
 
 COMPARE_COLUMNS = ("theta", "abs_tau", "t", "s", "k_mean", "k_stderr", "k_total", "z")
 
@@ -238,6 +222,28 @@ def _cmd_estimate(args):
     return 0
 
 
+def _theory_columns(prediction):
+    terms = [f"e_{name}" for name in prediction.e_terms] + [f"v_{name}" for name in prediction.v_terms]
+    return ("theta", "abs_tau", "t", "s", "k_total", "disconnected", "connected", *terms, "validity_warning", "N")
+
+
+def _theory_row(p):
+    tau = p.tau
+    return (
+        tau.theta,
+        tau.abs_tau,
+        tau.t,
+        tau.s,
+        p.k_total,
+        p.disconnected,
+        p.connected,
+        *p.e_terms.values(),
+        *p.v_terms.values(),
+        p.validity_warning,
+        p.n,
+    )
+
+
 def _cmd_theory(args):
     if args.exact_gaussian and args.beta != 2:
         raise ValueError("--exact-gaussian models complex gaussian entries only (beta 2)")
@@ -257,29 +263,11 @@ def _cmd_theory(args):
         "version": __version__,
     }
     if args.exact_gaussian:
-        rows = [
-            (tau.theta, tau.abs_tau, tau.t, tau.s, g.k_total, g.contact, g.disconnected, g.connected, args.n)
-            for tau, g in zip(taus, ginibre_exact_dsff_grid(taus, args.n))
-        ]
-        _write_text(args.out, _csv_text(config, EXACT_COLUMNS, rows))
-        return 0
-    rows = [
-        (
-            tau.theta,
-            tau.abs_tau,
-            tau.t,
-            tau.s,
-            p.k_total,
-            p.disconnected,
-            p.connected,
-            *p.e_terms.values(),
-            *p.v_terms.values(),
-            p.validity_warning,
-            args.n,
-        )
-        for tau, p in zip(taus, dsff_theory_grid(taus, args.n, kappa4=args.kappa4, beta=args.beta))
-    ]
-    _write_text(args.out, _csv_text(config, THEORY_COLUMNS, rows))
+        predictions = ginibre_exact_dsff_grid(taus, args.n)
+    else:
+        predictions = dsff_theory_grid(taus, args.n, kappa4=args.kappa4, beta=args.beta)
+    rows = [_theory_row(p) for p in predictions]
+    _write_text(args.out, _csv_text(config, _theory_columns(predictions[0]), rows))
     return 0
 
 

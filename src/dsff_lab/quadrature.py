@@ -264,8 +264,9 @@ def real_axis_correction_line(t, s):
     at once; a scalar call is this route at one point and returns a float.
     """
     t, s = np.asarray(t), np.asarray(s)
-    if np.iscomplexobj(t) or np.iscomplexobj(s):  # np.abs would take the modulus
-        raise ValueError("t and s must be finite reals, got a complex value")
+    # np.abs would take a complex value's modulus, and a bool as 0 or 1
+    if t.dtype.kind in "bc" or s.dtype.kind in "bc":
+        raise ValueError(f"t and s must be finite reals, got {t.dtype} and {s.dtype}")
     try:
         t, s = np.broadcast_arrays(np.abs(t, dtype=np.float64), np.abs(s, dtype=np.float64))
     except TypeError as exc:  # not real numbers, or an int too large for a double

@@ -3,12 +3,12 @@
 The form factor of an N x N matrix with i.i.d. entries decomposes, at complex
 time tau = t + i s, into a disconnected part |E L|^2 / N^2 and a connected
 part Var(L) / N^2, where L = sum_j exp(i(t x_j + s y_j)) is the linear
-spectral statistic of the plane wave. This module evaluates the limiting
-expectation and variance of L (complex entries beta=2, real entries beta=1,
-fourth-cumulant correction kappa4), the resulting form-factor prediction, its
-simplified large-tau form, and the exact asymptotic for the gaussian complex
-ensemble. E[L]/N and Var(L) are sums of the terms named in E_TERMS and
-V_TERMS; a prediction holds each term's value under its name, in that order.
+spectral statistic of the plane wave. Every route returns these two moments
+per point as one type, TheoryPrediction, with E[L]/N and Var(L) each a sum of
+named terms: dsff_theory_grid the limiting moments (complex entries beta=2,
+real entries beta=1, fourth-cumulant correction kappa4), with the terms of
+E_TERMS and V_TERMS, and ginibre_exact_dsff_grid the gaussian complex
+ensemble's asymptotic, with the terms "leading" and "ramp".
 
 Every Bessel value of a grid of points comes from one
 bessel.bessel_j_columns call: J_0..J_K(|tau|) with K = truncation_order(|tau|)
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import TABLE_MIN_ARGUMENT, bessel_j_columns, truncation_order, weighted_column_sums
+from .bessel import TABLE_MIN_ARGUMENT, _is_real, bessel_j_columns, truncation_order, weighted_column_sums
 from .quadrature import real_axis_correction_line
 
 # Unused here: perfbench/tracing.py wraps bessel_j, weighted_bessel_series and
@@ -40,7 +40,6 @@ from .quadrature import real_axis_correction_integral  # noqa: F401
 __all__ = [
     "ComplexTime",
     "TheoryPrediction",
-    "GinibreDsff",
     "Timescales",
     "E_TERMS",
     "V_TERMS",
@@ -50,6 +49,13 @@ __all__ = [
     "ginibre_exact_dsff_grid",
     "timescales",
 ]
+
+def _is_finite(value):
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a double
+        return False
+
 
 @dataclass(frozen=True)
 class ComplexTime:
@@ -66,13 +72,9 @@ class ComplexTime:
 
     def __post_init__(self):
         for value in (self.t, self.s):
-            if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+            if not _is_real(value):
                 raise ValueError(f"t and s must be real numbers, got {type(value).__name__}")
-        try:
-            finite = math.isfinite(self.t) and math.isfinite(self.s)
-        except OverflowError:  # an int too large for a double
-            finite = False
-        if not finite:
+        if not (_is_finite(self.t) and _is_finite(self.s)):
             raise ValueError("t and s must be finite")
 
     @classmethod
@@ -123,23 +125,33 @@ def _j1_2s_over_s(s, j1_2s):
     return np.divide(j1_2s, s, out=np.ones(np.shape(s)), where=s > 0.0)
 
 
-def _validate(n, beta=2):
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if beta not in (1, 2):
-        raise ValueError(f"beta must be 1 (real) or 2 (complex), got {beta!r}")
+def _validate(n, beta=2, kappa4=0.0, taus=()):
+    """The arguments of every route and of timescales as int, int, float and list, or ValueError.
+
+    n is an integer in [1, 2^53], beta 1 or 2, kappa4 a finite real and taus ComplexTimes.
+    """
+    if not (_is_real(n) and isinstance(n, (int, np.integer)) and 1 <= n <= 2**53):
+        raise ValueError("n must be a positive integer, at most 2^53")
+    if not (_is_real(beta) and isinstance(beta, (int, np.integer)) and beta in (1, 2)):
+        raise ValueError("beta must be 1 (real) or 2 (complex)")
+    if not (_is_real(kappa4) and _is_finite(kappa4)):
+        raise ValueError(f"kappa4 must be a finite real number, got {type(kappa4).__name__}")
+    taus = list(taus)
+    if not all(isinstance(tau, ComplexTime) for tau in taus):
+        raise ValueError("taus must be ComplexTime points")
+    return int(n), int(beta), float(kappa4), taus
 
 
 _SERIES_WEIGHT = {1: "abs_k_sin_sq", 2: "abs_k"}
 
-# The terms of E[L]/N and of Var(L), in the order of the theory CSV's e_ and
-# v_ columns.
+# The terms of E[L]/N and of Var(L) of dsff_theory, in the order of the theory
+# CSV's e_ and v_ columns.
 E_TERMS = ("leading", "laplacian", "kappa4", "real_axis")
 V_TERMS = ("gradient", "real_ramp", "series", "kappa4")
 
 
 def _terms(x, bessel, n, kappa4, beta, real):
-    """(e_terms, v_terms): the values of E_TERMS and of V_TERMS at |tau| = x.
+    """(e_terms, v_terms): E_TERMS and V_TERMS, each mapped to its value at |tau| = x.
 
     x is an array over points; bessel is (J_0(x), J_1(x)/x, J_3(x)/x,
     series) and, at beta=1, real is (I(t, s), J_0(|t|), cos t, t^2 - s^2,
@@ -163,11 +175,16 @@ def _terms(x, bessel, n, kappa4, beta, real):
     coeff = leading - j0
     e_terms = (leading, -xx * j1x / (4.0 * n), 4.0 * kappa4 * j3x / n, real_axis)
     v_terms = (xx / 4.0, real_ramp, series, kappa4 * (coeff * coeff))
-    return e_terms, v_terms
+    return dict(zip(E_TERMS, e_terms)), dict(zip(V_TERMS, v_terms))
 
 
 @dataclass(frozen=True)
 class TheoryPrediction:
+    """K = (E[L]/N)^2 + Var(L)/N^2 at tau, from the named terms of a route.
+
+    e_value and v_value are the sums of e_terms and v_terms in their order.
+    """
+
     tau: ComplexTime
     n: int
     beta: int
@@ -190,16 +207,30 @@ class TheoryPrediction:
     def k_total(self):
         return self.disconnected + self.connected
 
-    @property
-    def k_simplified(self):
-        """Reduced prediction 4J_1^2/|tau|^2 + (|tau|^2/4 + anisotropy)/N^2.
 
-        The leading expectation term squared plus the gradient and real_ramp
-        variance terms over N^2; the anisotropy (t^2 - s^2) J_1(2s)/(4s) is
-        real_ramp, 0 at beta=2. It is 1 at tau = 0.
-        """
-        e, v = self.e_terms, self.v_terms
-        return e["leading"] ** 2 + (v["gradient"] + v["real_ramp"]) / self.n**2
+def _predictions(taus, n, beta, kappa4, e_terms, v_terms):
+    """One TheoryPrediction per point of taus, from maps of term name to array.
+
+    validity_warning flags |tau| beyond N^(2/7), dsff_theory's proven range.
+    """
+    # every term as a row of one array, read out by one tolist per part
+    values = np.array([*e_terms.values(), *v_terms.values()])
+    e_points, v_points = values[: len(e_terms)].T.tolist(), values[len(e_terms) :].T.tolist()
+    bound = n ** (2.0 / 7.0)
+    return [
+        TheoryPrediction(
+            tau=tau,
+            n=n,
+            beta=beta,
+            kappa4=kappa4,
+            e_value=sum(e),
+            v_value=sum(v),
+            e_terms=dict(zip(e_terms, e)),
+            v_terms=dict(zip(v_terms, v)),
+            validity_warning=tau.abs_tau > bound,
+        )
+        for tau, e, v in zip(taus, e_points, v_points)
+    ]
 
 
 def dsff_theory(tau, n, kappa4=0.0, beta=2):
@@ -223,8 +254,7 @@ def dsff_theory_grid(taus, n, kappa4=0.0, beta=2):
     bessel_j_row. The terms are then computed for all points at once, the
     real-axis integral included.
     """
-    _validate(n, beta)
-    taus = list(taus)
+    n, beta, kappa4, taus = _validate(n, beta, kappa4, taus)
     if not taus:
         return []
     size = len(taus)
@@ -243,48 +273,16 @@ def dsff_theory_grid(taus, n, kappa4=0.0, beta=2):
     series = weighted_column_sums(columns, orders[:size], _SERIES_WEIGHT[beta], phi)
     j1x = _j1_over_x(x, columns[1, :size])
     bessel = (columns[0, :size], j1x, _j3_over_x(x, columns[3, :size]), series)
-    e_terms, v_terms = _terms(x, bessel, n, kappa4, beta, real)
-    # every term as a row of one array, read out by one tolist per part
-    values = np.array([*e_terms, *v_terms])
-    e_points, v_points = values[: len(E_TERMS)].T.tolist(), values[len(E_TERMS) :].T.tolist()
-    warnings = (x > n ** (2.0 / 7.0)).tolist()
-    return [
-        TheoryPrediction(
-            tau=tau,
-            n=n,
-            beta=beta,
-            kappa4=kappa4,
-            e_value=sum(e),
-            v_value=sum(v),
-            e_terms=dict(zip(E_TERMS, e)),
-            v_terms=dict(zip(V_TERMS, v)),
-            validity_warning=warning,
-        )
-        for tau, e, v, warning in zip(taus, e_points, v_points, warnings)
-    ]
-
-
-@dataclass(frozen=True)
-class GinibreDsff:
-    """Exact asymptotic for the gaussian complex ensemble, three named terms."""
-
-    contact: float
-    disconnected: float
-    connected: float
-
-    @property
-    def k_total(self):
-        return self.contact + self.disconnected + self.connected
+    return _predictions(taus, n, beta, kappa4, *_terms(x, bessel, n, kappa4, beta, real))
 
 
 def ginibre_exact_dsff(tau, n):
-    """K = 1/N + 4 J_1(|tau|)^2/|tau|^2 - exp(-|tau|^2/(4N))/N.
+    """The gaussian complex ensemble's K = 4 J_1(|tau|)^2/|tau|^2 + V/N^2 (beta 2, kappa4 0).
 
-    K(0) = 1 exactly; the plateau at large |tau| is the contact term 1/N.
-    The (negative) exponential term cancels the contact at tau = 0 and decays
-    as the connected part ramps up; contact + connected is the counterpart of
-    the estimator's variance-based connected component. This is
-    ginibre_exact_dsff_grid at the one point tau.
+    E[L]/N is the term leading = 2 J_1(|tau|)/|tau|, Var(L) the term ramp
+    V = N (1 - exp(-|tau|^2/(4N))), by expm1 to keep its digits at small |tau|.
+    K(0) = 1 exactly, and the plateau is 1/N. This is ginibre_exact_dsff_grid
+    at the one point tau.
     """
     return ginibre_exact_dsff_grid([tau], n)[0]
 
@@ -295,17 +293,14 @@ def ginibre_exact_dsff_grid(taus, n):
     J_1(|tau|) comes from one bessel_j_columns call, which decides which
     points share a table.
     """
-    _validate(n)
-    args = [tau.abs_tau for tau in taus]
-    if not args:
+    n, _, _, taus = _validate(n, taus=taus)
+    if not taus:
         return []
+    args = [tau.abs_tau for tau in taus]
     x = np.array(args)
     j1x = _j1_over_x(x, bessel_j_columns([1] * x.size, args)[1])
-    contact, four_n = 1.0 / n, 4.0 * n
-    return [
-        GinibreDsff(contact, disconnected, -math.exp(-v * v / four_n) / n)
-        for v, disconnected in zip(args, (4.0 * j1x * j1x).tolist())
-    ]
+    ramp = -n * np.expm1(-x * x / (4.0 * n))
+    return _predictions(taus, n, 2, 0.0, {"leading": 2.0 * j1x}, {"ramp": ramp})
 
 
 @dataclass(frozen=True)
@@ -315,6 +310,5 @@ class Timescales:
 
 
 def timescales(n):
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _validate(n)[0]
     return Timescales(tau_edge=float(n) ** 0.4, tau_hei=math.sqrt(float(n)))

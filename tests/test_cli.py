@@ -211,11 +211,34 @@ def test_exact_gaussian_columns(tmp_path):
         "--tau-max", "5", "--points", "4", "--out", out,
     ]) == 0
     header, rows = _read_rows(out)
-    assert header == ["theta", "abs_tau", "t", "s", "k_total", "contact", "disconnected", "connected", "N"]
-    # contact + disconnected + connected recombine
+    assert header == [
+        "theta", "abs_tau", "t", "s", "k_total", "disconnected", "connected", "e_leading", "v_ramp",
+        "validity_warning", "N",
+    ]
+    # disconnected + connected recombine; connected is Var(L)/N^2
     for r in rows:
-        total = float(r["contact"]) + float(r["disconnected"]) + float(r["connected"])
+        total = float(r["disconnected"]) + float(r["connected"])
         assert float(r["k_total"]) == pytest.approx(total, rel=1e-12, abs=0.0)
+        assert float(r["disconnected"]) == float(r["e_leading"]) ** 2
+        assert float(r["connected"]) == float(r["v_ramp"]) / 64**2
+        assert float(r["connected"]) > 0.0
+
+
+def test_compare_subtract_disconnected_on_the_exact_route(tmp_path):
+    _, est_csv, _ = _run_pipeline(tmp_path)
+    exact, svg, merged = tmp_path / "exact.csv", tmp_path / "exact.svg", tmp_path / "m.csv"
+    assert main(["theory", "--n", "16", "--exact-gaussian", "--tau-min", "0.3", "--tau-max", "10",
+                 "--points", "10", "--out", str(exact)]) == 0
+    assert main(["compare", "--estimate", est_csv, "--theory", str(exact), "--svg", str(svg),
+                 "--subtract-disconnected", "--out", str(merged)]) == 0
+    assert "connected" in svg.read_text()
+    _, theory_rows = _read_rows(exact)
+    _, merged_rows = _read_rows(merged)
+    assert [r["k_total"] for r in merged_rows] == [r["k_total"] for r in theory_rows]
+    # the plotted prediction, k_total - disconnected, is the positive connected part
+    for r in theory_rows:
+        plotted = float(r["k_total"]) - float(r["disconnected"])
+        assert plotted > 0.0 and plotted == pytest.approx(float(r["connected"]), rel=1e-12, abs=0.0)
 
 
 def test_grid_mismatch_exits_3(tmp_path, capsys):
@@ -319,17 +342,16 @@ def test_one_point_theory_has_the_bits_of_the_pointwise_route(tmp_path, beta):
     flags = ["--exact-gaussian"] if beta == "exact" else ["--beta", beta, "--kappa4", "-1.5"]
     assert main(["theory", "--n", "64", *flags, "--theta", "0.3", "--tau-min", "2.5",
                  "--tau-max", "2.5", "--points", "1", "--out", out]) == 0
-    _, (row,) = _read_rows(out)
+    header, (row,) = _read_rows(out)
     (tau,) = build_tau_grid(0.3, 2.5, 2.5, 1)
     if beta == "exact":
-        g = ginibre_exact_dsff(tau, 64)
-        want = [g.k_total, g.contact, g.disconnected, g.connected]
-        got = [row[c] for c in ("k_total", "contact", "disconnected", "connected")]
+        p = ginibre_exact_dsff(tau, 64)
     else:
         p = dsff_theory(tau, 64, kappa4=-1.5, beta=int(beta))
-        want = [p.k_total, p.disconnected, p.connected, *p.e_terms.values(), *p.v_terms.values()]
-        got = [row[c] for c in cli.THEORY_COLUMNS[4:15]]
-    assert got == [repr(float(v)) for v in want]
+    want = [p.k_total, p.disconnected, p.connected, *p.e_terms.values(), *p.v_terms.values()]
+    assert header[4:-2] == ["k_total", "disconnected", "connected", *(f"e_{k}" for k in p.e_terms),
+                            *(f"v_{k}" for k in p.v_terms)]
+    assert [row[c] for c in header[4:-2]] == [repr(float(v)) for v in want]
 
 
 def _with_columns(src, dst, values):

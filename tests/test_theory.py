@@ -1,5 +1,7 @@
+import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from dsff_lab.theory import (
     ginibre_exact_dsff_grid,
     timescales,
 )
+from dsff_lab.verify import k_simplified
 
 
 def test_complex_time_polar_roundtrip():
@@ -188,13 +191,13 @@ def test_n_validation():
 
 
 def test_simplified_frozen_value():
-    val = dsff_theory(ComplexTime(3.0, 4.0), 500, beta=1).k_simplified
+    val = k_simplified(dsff_theory(ComplexTime(3.0, 4.0), 500, beta=1))
     assert val == pytest.approx(0.017193884008019902, rel=1e-12, abs=0.0)
 
 
 def test_simplified_at_origin_is_one():
     for beta in (1, 2):
-        assert dsff_theory(ComplexTime(0.0, 0.0), 100, kappa4=-1.0, beta=beta).k_simplified == 1.0
+        assert k_simplified(dsff_theory(ComplexTime(0.0, 0.0), 100, kappa4=-1.0, beta=beta)) == 1.0
 
 
 @pytest.mark.parametrize("beta", [1, 2])
@@ -205,7 +208,7 @@ def test_simplified_is_the_reduced_formula(beta):
         x, t, s = tau.abs_tau, tau.t, abs(tau.s)
         aniso = (2.0 / beta - 1.0) * (t * t - s * s) * bessel_j(1, 2.0 * s) / (4.0 * s)
         want = 4.0 * (bessel_j(1, x) / x) ** 2 + (x * x / 4.0 + aniso) / n**2
-        got = dsff_theory(tau, n, kappa4=-1.0, beta=beta).k_simplified
+        got = k_simplified(dsff_theory(tau, n, kappa4=-1.0, beta=beta))
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
@@ -214,7 +217,7 @@ def test_simplified_tracks_full_theory_at_large_n():
     for beta in (1, 2):
         tau = ComplexTime.from_polar(12.0, 0.0)
         p = dsff_theory(tau, n, kappa4=0.0, beta=beta)
-        assert abs(p.k_total - p.k_simplified) / p.k_simplified < 0.05
+        assert abs(p.k_total - k_simplified(p)) / k_simplified(p) < 0.05
 
 
 def test_ginibre_frozen_value():
@@ -229,7 +232,98 @@ def test_ginibre_at_origin_and_plateau():
     )
     far = ginibre_exact_dsff(ComplexTime.from_polar(50.0 * math.sqrt(n), 0.2), n)
     assert far.k_total == pytest.approx(1.0 / n, rel=1e-6, abs=0.0)
-    assert far.contact == 1.0 / n
+    assert far.v_value == n
+
+
+def test_ginibre_is_a_theory_prediction():
+    p = ginibre_exact_dsff(ComplexTime.from_polar(2.0, 0.9), 64)
+    assert (p.n, p.beta, p.kappa4) == (64, 2, 0.0)
+    assert list(p.e_terms) == ["leading"] and list(p.v_terms) == ["ramp"]
+    assert p.e_value == p.e_terms["leading"] and p.v_value == p.v_terms["ramp"]
+    assert p.k_total == p.disconnected + p.connected
+
+
+# the connected part of the exact route is -expm1(-|tau|^2/4N)/N to a few
+# ulps, also at small |tau|, where 1/N - exp(-|tau|^2/4N)/N would cancel
+@pytest.mark.parametrize("n", [256, 10_000])
+def test_ginibre_connected_against_mpmath(n):
+    xs = [1e-3, 0.1, 5.0, 40.0 * math.sqrt(n)]
+    with mpmath.workdps(30):
+        for x, p in zip(xs, ginibre_exact_dsff_grid([ComplexTime(x, 0.0) for x in xs], n)):
+            want = -mpmath.expm1(-mpmath.mpf(x) ** 2 / (4 * n)) / n
+            assert abs(p.connected - want) <= 1e-15 * want, (x, p.connected, want)
+
+
+@pytest.mark.parametrize(
+    "taus",
+    [build_tau_grid(0.0, 0.1, 32.0, 60), build_tau_grid(0.7, 1e-3, 64.0, 200)],
+    ids=["predict_ray", "from_1e-3"],
+)
+def test_ginibre_k_total_is_the_closed_form(taus):
+    # K = 1/N + 4 J_1(|tau|)^2/|tau|^2 - exp(-|tau|^2/4N)/N, summed in this
+    # order, with J_1 from the bessel_j_columns call the route makes
+    n = 256
+    xs = [tau.abs_tau for tau in taus]
+    j1 = bessel_j_columns([1] * len(xs), xs)[1]
+    for x, j, p in zip(xs, j1.tolist(), ginibre_exact_dsff_grid(taus, n)):
+        j1x = j / x if x >= TABLE_MIN_ARGUMENT else 0.5
+        old = 1.0 / n + 4.0 * j1x * j1x - math.exp(-x * x / (4.0 * n)) / n
+        assert abs(p.k_total - old) <= 4.5e-16 * max(1.0, old), (x, p.k_total, old)
+
+
+# every route and timescales take their arguments through one check: each
+# route's arguments, and what each must refuse with ValueError
+_TAKES = {
+    "dsff_theory": ("tau", "n", "beta", "kappa4"),
+    "dsff_theory_grid": ("tau", "n", "beta", "kappa4"),
+    "ginibre_exact_dsff": ("tau", "n"),
+    "ginibre_exact_dsff_grid": ("tau", "n"),
+    "timescales": ("n",),
+}
+_CALLS = {
+    "dsff_theory": lambda tau, n, beta, kappa4: dsff_theory(tau, n, kappa4=kappa4, beta=beta),
+    "dsff_theory_grid": lambda tau, n, beta, kappa4: dsff_theory_grid([tau], n, kappa4=kappa4, beta=beta),
+    "ginibre_exact_dsff": lambda tau, n, beta, kappa4: ginibre_exact_dsff(tau, n),
+    "ginibre_exact_dsff_grid": lambda tau, n, beta, kappa4: ginibre_exact_dsff_grid([tau], n),
+    "timescales": lambda tau, n, beta, kappa4: timescales(n),
+}
+_BAD = {
+    "tau": {"pair": (1.0, 2.0), "float": 1.0, "none": None},
+    "n": {"float": 2.5, "int_float": 16.0, "bool": True, "np_bool": np.bool_(True), "huge": 10**400,
+          "zero": 0, "negative": -3, "nan": math.nan, "str": "16"},
+    "beta": {"bool": True, "np_bool": np.bool_(True), "three": 3, "float": 2.0, "str": "2", "huge": 10**400},
+    "kappa4": {"nan": math.nan, "inf": -math.inf, "str": "x", "bool": True, "huge": 10**400, "complex": 1j,
+               "none": None},
+}
+_GOOD = {"tau": ComplexTime.from_polar(2.0, 0.4), "n": 16, "beta": 2, "kappa4": -1.0}
+_MESSAGE = {"tau": "ComplexTime", "n": "n must", "beta": "beta must", "kappa4": "kappa4 must"}
+
+
+def test_argument_table_covers_every_public_function_taking_n():
+    from dsff_lab import theory
+
+    functions = [getattr(theory, name) for name in theory.__all__]
+    taking_n = {f.__name__ for f in functions if inspect.isfunction(f) and "n" in inspect.signature(f).parameters}
+    assert taking_n == set(_TAKES) == set(_CALLS)
+
+
+@pytest.mark.parametrize(
+    "route, arg, bad",
+    [(route, arg, bad) for route, args in _TAKES.items() for arg in args for bad in _BAD[arg]],
+)
+def test_bad_arguments_are_refused(route, arg, bad):
+    with pytest.raises(ValueError, match=_MESSAGE[arg]):
+        _CALLS[route](**dict(_GOOD, **{arg: _BAD[arg][bad]}))
+
+
+@pytest.mark.parametrize("route", list(_TAKES))
+def test_numpy_numbers_are_accepted(route):
+    want = _CALLS[route](**_GOOD)
+    got = _CALLS[route](_GOOD["tau"], np.int64(16), np.int32(2), np.float32(-1.0))
+    assert got == want
+    if route != "timescales":
+        (p,) = got if isinstance(got, list) else [got]
+        assert type(p.n) is int and type(p.beta) is int and type(p.kappa4) is float
 
 
 def test_timescales():
@@ -314,7 +408,7 @@ def test_empty_grid():
 def _exact_grid_matches_pointwise(taus):
     for tau, g in zip(taus, ginibre_exact_dsff_grid(taus, 256)):
         want = ginibre_exact_dsff(tau, 256)
-        assert g.contact == want.contact and g.connected == want.connected
+        assert g.v_value == want.v_value and g.connected == want.connected
         assert abs(g.disconnected - want.disconnected) <= 1e-13 * max(1.0, abs(want.disconnected))
 
 
