@@ -27,6 +27,8 @@ import math
 
 import numpy as np
 
+from . import _args
+
 __all__ = [
     "MAX_ORDER",
     "TABLE_MIN_ARGUMENT",
@@ -65,32 +67,9 @@ _TABLE_STEP_COST = 12
 _TABLE_ELEMENTS = 1 << 16
 
 
-def _is_real(x):
-    """Whether x is a Python or numpy integer or float; bools and complex numbers are not."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-
-
-def _validate_argument(x):
-    """x as a float, or ValueError."""
-    try:
-        finite = _is_real(x) and math.isfinite(x)
-    except OverflowError:  # an int too large for a double, whose repr may itself fail
-        raise ValueError("argument must be a finite real number, got an int too large for a double") from None
-    if not finite:
-        raise ValueError(f"argument must be a finite real number, got {x!r}")
-    if x < 0:
-        raise ValueError(f"argument must be nonnegative, got {x!r}")
-    return float(x)
-
-
-def _validate_order(n, nonnegative=False):
-    """Reject an order that is not an int (or is a bool) or is above MAX_ORDER."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"order must be an integer, got {n!r}")
-    if nonnegative and n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
-    if abs(n) > MAX_ORDER:
-        raise ValueError(f"order {n} exceeds max_order={MAX_ORDER}")
+def _order(n, lowest=0):
+    """n as an int in [lowest, MAX_ORDER], or ValueError."""
+    return _args.count(n, "order", lowest, MAX_ORDER, f"max_order={MAX_ORDER}")
 
 
 def truncation_order(x):
@@ -191,11 +170,11 @@ def bessel_j(n, x):
     30-digit values: within 2.8e-16 absolute for 1e-3 <= x <= 40 and
     |n| <= 200, 2e-16 at x = 500 and 1.9e-16 for J_0..J_3 at x = 9000.
     """
-    x = _validate_argument(x)
-    _validate_order(n)
+    x = _args.real(x, "argument", nonnegative=True)
+    n = _order(n, -MAX_ORDER)
     sign = -1.0 if (n < 0 and n % 2 != 0) else 1.0
     n = abs(n)
-    return sign * _row(n, x)[n]
+    return sign * float(_row(n, x)[n])
 
 
 def bessel_j_row(n_max, x):
@@ -204,8 +183,7 @@ def bessel_j_row(n_max, x):
     Within 2.3e-16 absolute of 30-digit values for 1e-3 <= x <= 40 and
     n_max = 60.
     """
-    _validate_order(n_max, nonnegative=True)
-    return _row(n_max, _validate_argument(x))
+    return _row(_order(n_max), _args.real(x, "argument", nonnegative=True))
 
 
 def bessel_j_table(n_max, xs):
@@ -225,17 +203,7 @@ def bessel_j_table(n_max, xs):
     rescales behind is 0. The overflow test itself runs only once a bound
     on the running values comes near the limit.
     """
-    _validate_order(n_max, nonnegative=True)
-    try:
-        # a float64 cast would take a bool as 0 or 1 and drop an imaginary part
-        real = all(map(_is_real, xs.tolist() if isinstance(xs, np.ndarray) else xs))
-        if real:
-            xs = np.asarray(xs, dtype=np.float64)
-        valid = real and xs.ndim == 1 and np.isfinite(xs).all() and not (xs < 0).any()
-    except (OverflowError, TypeError):  # an int too large for a double, or xs not a sequence
-        valid = False
-    if not valid:
-        raise ValueError("arguments must be a 1-D array of finite nonnegative reals")
+    n_max, xs = _order(n_max), _args.reals(xs, "arguments", nonnegative=True)
     pos = np.flatnonzero(xs)
     if pos.size and xs[pos].min() < TABLE_MIN_ARGUMENT:
         raise ValueError(f"positive arguments must be at least {TABLE_MIN_ARGUMENT:g}")
@@ -345,16 +313,13 @@ def bessel_j_columns(orders, xs):
     costs more than a table's depth, so fewer than _TABLE_STEP_COST
     arguments never make a table, and are not planned.
     """
-    orders, xs = list(orders), list(xs)
+    # one quick pass accepts the usual ints; _order takes every other input
+    orders = list(orders)
+    if not all(type(n) is int and 0 <= n <= MAX_ORDER for n in orders):
+        orders = [_order(n) for n in orders]
+    xs = _args.reals(list(xs), "argument", nonnegative=True).tolist()
     if len(orders) != len(xs):
         raise ValueError(f"got {len(orders)} orders for {len(xs)} arguments")
-    # one quick pass accepts the usual ints and floats; the checks of
-    # bessel_j_row take every other input, and name what is wrong
-    if not all(type(n) is int and 0 <= n <= MAX_ORDER for n in orders):
-        for n in orders:
-            _validate_order(n, nonnegative=True)
-    if not all(type(x) is float and 0.0 <= x < math.inf for x in xs):
-        xs = [_validate_argument(x) for x in xs]
     parts, rows = [], range(len(xs))
     if len(xs) >= _TABLE_STEP_COST:
         parts, rows = _table_blocks(orders, xs)
@@ -391,9 +356,7 @@ def weighted_column_sums(columns, orders, weight, phi=None):
     takes exactly its own.
     """
     if phi is not None:
-        phi = np.asarray(phi, dtype=np.float64)
-        if not np.isfinite(phi).all():
-            raise ValueError("phi must be finite")
+        phi = _args.reals(phi, "phi")
     elif weight == "abs_k_sin_sq":
         raise ValueError("weight 'abs_k_sin_sq' requires phi")
     sums = np.empty(len(orders))
@@ -416,7 +379,7 @@ def weighted_bessel_series(x, weight, phi=None):
     point J_k^2 decays super-exponentially, and |k|-type weights grow at most
     quadratically, so the dropped tail is below 1e-29.
     """
-    x = _validate_argument(x)
+    x = _args.real(x, "argument", nonnegative=True)
     order = truncation_order(x)
-    phi = None if phi is None else [phi]
+    phi = None if phi is None else [_args.real(phi, "phi")]
     return float(weighted_column_sums(bessel_j_columns([order], [x]), [order], weight, phi)[0])

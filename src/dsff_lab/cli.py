@@ -13,7 +13,7 @@ byte-identical.
 
 Exit codes: 0 success, 1 eigensolver failure or failed verification,
 2 bad arguments (including an `estimate` grid whose tau_max * rho exceeds
-MAX_PHASE), 3 cache or file trouble (including grid mismatch and non-finite
+estimator.MAX_PHASE), 3 cache or file trouble (including grid mismatch and non-finite
 cache payloads). Run diagnostics (sampling and estimation throughput,
 spectral radius, the estimator's route) go to stderr only.
 """
@@ -64,10 +64,6 @@ ESTIMATE_COLUMNS = (
 
 COMPARE_COLUMNS = ("theta", "abs_tau", "t", "s", "k_mean", "k_stderr", "k_total", "z")
 
-# Largest tau_max * rho `estimate` accepts: phases t*Re(lambda) + s*Im(lambda)
-# then carry a rounding error of about 1e8 * 2^-53 ~ 1e-8 rad.
-MAX_PHASE = 1e8
-
 
 class GridMismatchError(Exception):
     """Estimate and theory CSVs disagree on the tau grid."""
@@ -82,11 +78,7 @@ class CsvFormatError(Exception):
 
 
 def _fmt(v):
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, int):
-        return str(v)
-    return repr(float(v))
+    return repr(float(v)) if isinstance(v, float) else str(int(v))
 
 
 def _config_line(obj):
@@ -172,14 +164,7 @@ def _cmd_sample(args):
 def _cmd_estimate(args):
     sset = load_spectra(_cache_path(args.spectra))
     taus, tau_max = _grid_from_args(args, sset.n)
-    rho = sset.spectral_radius
-    print(f"spectral radius rho={rho:.6g}", file=sys.stderr)
-    reach = tau_max * rho
-    if reach > MAX_PHASE:
-        raise ValueError(
-            f"tau_max * rho = {reach:.3g} exceeds the phase limit {MAX_PHASE:g} "
-            f"(rho={rho:.6g}); past it the phase rounding error exceeds ~1e-8 rad"
-        )
+    print(f"spectral radius rho={sset.spectral_radius:.6g}", file=sys.stderr)
     config = {
         "command": "estimate",
         "m": sset.m,
@@ -379,32 +364,11 @@ def _cmd_verify(args):
 # argument parsing
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _finite_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _seed(text):
-    value = int(text)
-    if not (0 <= value < 2**64):
-        raise argparse.ArgumentTypeError(f"seed must lie in [0, 2^64), got {text!r}")
-    return value
-
-
 def _add_grid_arguments(sub):
-    sub.add_argument("--theta", type=_finite_float, default=0.0, help="ray angle in the (t, s) plane")
-    sub.add_argument("--tau-min", type=_finite_float, default=0.1)
-    sub.add_argument("--tau-max", type=_finite_float, default=None, help="default: twice the plateau onset sqrt(N)")
-    sub.add_argument("--points", type=_positive_int, default=120)
+    sub.add_argument("--theta", type=float, default=0.0, help="ray angle in the (t, s) plane")
+    sub.add_argument("--tau-min", type=float, default=0.1)
+    sub.add_argument("--tau-max", type=float, default=None, help="default: twice the plateau onset sqrt(N)")
+    sub.add_argument("--points", type=int, default=120)
     sub.add_argument("--spacing", choices=("log", "linear"), default="log")
 
 
@@ -424,12 +388,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("sample", help="sample spectra of i.i.d. random matrices into a cache file")
-    p.add_argument("--n", type=_positive_int, required=True, help="matrix dimension")
-    p.add_argument("--m", type=_positive_int, required=True, help="number of independent samples")
+    p.add_argument("--n", type=int, required=True, help="matrix dimension")
+    p.add_argument("--m", type=int, required=True, help="number of independent samples")
     p.add_argument("--field", choices=FIELDS, default="complex")
     p.add_argument("--distribution", choices=DISTRIBUTIONS, default="gaussian")
-    p.add_argument("--seed", type=_seed, default=None, help="master seed (default: OS entropy, echoed)")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--seed", type=int, default=None, help="master seed (default: OS entropy, echoed)")
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="cache path (relative paths honor DSFF_LAB_CACHE_DIR)")
     p.set_defaults(func=_cmd_sample)
 
@@ -440,9 +404,9 @@ def build_parser():
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("theory", help="evaluate the analytic predictions on a tau grid")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=int, choices=(1, 2), default=2)
-    p.add_argument("--kappa4", type=_finite_float, default=0.0, help="fourth cumulant of the entry law")
+    p.add_argument("--kappa4", type=float, default=0.0, help="fourth cumulant of the entry law")
     p.add_argument(
         "--exact-gaussian",
         action="store_true",

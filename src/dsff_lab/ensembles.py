@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _args
+
 __all__ = [
     "FIELDS",
     "DISTRIBUTIONS",
@@ -61,8 +63,7 @@ class EnsembleSpec:
             raise ValueError(
                 f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}"
             )
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", _args.count(self.n, "n"))
 
     @property
     def beta(self):
@@ -99,12 +100,6 @@ class MatrixSample:
     sample_index: int
 
 
-def _validate_seed(master_seed):
-    # bool is an int subclass; a seed of True would be saved as "master_seed": true
-    if isinstance(master_seed, bool) or not isinstance(master_seed, int) or not (0 <= master_seed < 2**64):
-        raise ValueError(f"master_seed must be an integer in [0, 2^64), got {master_seed!r}")
-
-
 def _generator(master_seed, sample_index):
     key = np.array([master_seed, sample_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -131,9 +126,7 @@ def sample_matrix(spec, master_seed, sample_index):
     Pure function of its arguments: independent of call order, worker count,
     or any global RNG state.
     """
-    _validate_seed(master_seed)
-    if isinstance(sample_index, bool) or not isinstance(sample_index, int) or sample_index < 0:
-        raise ValueError(f"sample_index must be a nonnegative integer, got {sample_index!r}")
+    master_seed, sample_index = _args.seed(master_seed), _args.count(sample_index, "sample_index", 0)
     rng = _generator(master_seed, sample_index)
     chi = _draw_unit_variance(rng, spec.field, spec.distribution, spec.n)
     return MatrixSample(

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import _args, kernels
 from .bessel import MAX_ORDER, TABLE_MIN_ARGUMENT, truncation_order
-from .theory import ComplexTime
+from .theory import ComplexTime, _complex_times
 
 __all__ = [
     "DsffEstimate",
@@ -54,6 +54,10 @@ RAY_TOLERANCE = 8 * np.finfo(np.float64).eps
 # Chebyshev steps on one eigenvalue, the unit of the ray route's cost rule:
 # 5-10, about 7 in the median, with one thread on AVX-512 x86-64 (numpy 2.4).
 POINT_COST = 6.0
+
+# Largest max |tau| * rho dsff_grid accepts: phases t*Re(lambda) + s*Im(lambda)
+# then carry a rounding error of about 1e8 * 2^-53 ~ 1e-8 rad.
+MAX_PHASE = 1e8
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,7 @@ def estimate_from_linear_stats(stats, n, tau):
     the same bytes as a grid row with the same L values.
     """
     stats = np.asarray(stats, dtype=np.complex128)
-    return _estimates(stats[np.newaxis], n, [tau])[0]
+    return _estimates(stats[np.newaxis], _args.count(n, "n"), _complex_times([tau]))[0]
 
 
 def _estimates(stats, n, taus):
@@ -175,7 +179,7 @@ def _ray_plan(sset, taus):
 
 def ray_order(sset, taus):
     """Chebyshev order K if dsff_grid takes the ray route for this grid, else None."""
-    plan = _ray_plan(sset, list(taus))
+    plan = _ray_plan(sset, _complex_times(taus))
     return None if plan is None else plan[3]
 
 
@@ -184,9 +188,14 @@ def dsff_grid(sset, taus):
 
     A grid on one ray goes through kernels.ray_linear_stat_sums when
     ray_order says so; any other grid through kernels.linear_stat_sums, one
-    pass over the samples per point.
+    pass over the samples per point. A grid whose max |tau| times the
+    spectral radius exceeds MAX_PHASE is refused.
     """
-    taus = list(taus)
+    taus = _complex_times(taus)
+    rho = sset.spectral_radius
+    reach = max((tau.abs_tau for tau in taus), default=0.0) * rho
+    if reach > MAX_PHASE:
+        raise ValueError(f"|tau| * rho = {reach:.3g} exceeds the phase limit {MAX_PHASE:g}, rho={rho:.6g}")
     plan = _ray_plan(sset, taus)
     re = np.asarray(sset.eigenvalues.real, dtype=np.float64)
     im = np.asarray(sset.eigenvalues.imag, dtype=np.float64)
@@ -208,8 +217,8 @@ def build_tau_grid(theta, tau_min, tau_max, points, spacing="log"):
 
     spacing "log" needs tau_min > 0; "linear" also accepts tau_min = 0.
     """
-    if not isinstance(points, int) or points < 1:
-        raise ValueError(f"points must be a positive integer, got {points!r}")
+    theta, points = _args.real(theta, "theta"), _args.count(points, "points")
+    tau_min, tau_max = _args.real(tau_min, "tau_min"), _args.real(tau_max, "tau_max")
     if tau_min > tau_max:
         raise ValueError(f"tau_min={tau_min} exceeds tau_max={tau_max}")
     if spacing == "log":
@@ -222,4 +231,4 @@ def build_tau_grid(theta, tau_min, tau_max, points, spacing="log"):
         values = np.linspace(tau_min, tau_max, points)
     else:
         raise ValueError(f"spacing must be 'log' or 'linear', got {spacing!r}")
-    return [ComplexTime.from_polar(float(v), theta) for v in values]
+    return [ComplexTime.from_polar(v, theta) for v in values.tolist()]

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _args
+
 __all__ = [
     "DiskGrid",
     "disk_grid",
@@ -80,15 +82,17 @@ class DiskGrid:
         return self.integrate_rows(values.sum(axis=1))
 
 
-@functools.cache
 def disk_grid(radial_nodes, angular_nodes):
     """The radial_nodes x angular_nodes DiskGrid, built once per process.
 
     Every caller asking for the same node counts gets the same object, so
     its arrays are read-only.
     """
-    if radial_nodes < 1 or angular_nodes < 1:
-        raise ValueError("node counts must be positive")
+    return _disk_grid(_args.count(radial_nodes, "radial_nodes"), _args.count(angular_nodes, "angular_nodes"))
+
+
+@functools.cache
+def _disk_grid(radial_nodes, angular_nodes):
     nodes, weights = np.polynomial.legendre.leggauss(radial_nodes)
     r = 0.5 * (nodes + 1.0)
     radial_weights = 0.5 * weights * r
@@ -135,7 +139,7 @@ def chord_integral(t):
     """
     k = np.arange(1, 257)
     x = np.cos((2 * k - 1) * np.pi / 512)
-    return float(np.mean(np.cos(t * x))) / 2.0
+    return float(np.mean(np.cos(_args.real(t, "t") * x))) / 2.0
 
 
 def _one_minus_cos_over_sq(u):
@@ -190,7 +194,7 @@ def plane_wave_row_sums(grid, t, s):
     real_axis_correction_integral. grid.integrate_rows of the result is the
     real part of the disk integral of the plane wave.
     """
-    half_t, half_s = 0.5 * abs(t), 0.5 * abs(s)
+    half_t, half_s = 0.5 * abs(_args.real(t, "t")), 0.5 * abs(_args.real(s, "s"))
     return quarter_row_sums(grid, lambda x, y: _cosine(x, half_t) * _cosine(y, half_s))
 
 
@@ -208,6 +212,7 @@ def real_axis_correction_integral(t, s, grid):
     2 v/(1 + v^2), for the reason given in kernels.linear_stat_sums: numpy's
     float64 tan is a SIMD loop, and its cos and sin may not be.
     """
+    t, s = _args.real(t, "t"), _args.real(s, "s")
 
     def integrand(x, y):
         work = np.multiply(y, 0.25 * abs(s))
@@ -224,7 +229,6 @@ def real_axis_correction_integral(t, s, grid):
     return float(grid.integrate_rows(quarter_row_sums(grid, integrand))) * (2.0 / np.pi)
 
 
-@functools.cache
 def quarter_circle_rule(panels):
     """(cos phi, sin phi, weights) of the composite Gauss-Legendre rule on (0, pi/2).
 
@@ -232,8 +236,11 @@ def quarter_circle_rule(panels):
     each. Built once per process per panel count, so the arrays are
     read-only.
     """
-    if panels < 1:
-        raise ValueError("panels must be positive")
+    return _quarter_circle_rule(_args.count(panels, "panels"))
+
+
+@functools.cache
+def _quarter_circle_rule(panels):
     nodes, weights = np.polynomial.legendre.leggauss(LINE_PANEL_NODES)
     half_width = 0.25 * np.pi / panels
     centers = (2 * np.arange(panels) + 1) * half_width
@@ -259,27 +266,20 @@ def real_axis_correction_line(t, s):
     I is computed from |t| and |s|, which makes it bitwise even in both.
     Equals real_axis_correction_integral(t, s, grid) up to the grid's error.
 
-    t and s are floats or arrays, broadcast together, with finite entries.
+    t and s are finite reals or 1-D arrays of them, broadcast together.
     The result holds I at each (t, s), the points of one panel count taken
-    at once; a scalar call is this route at one point and returns a float.
+    at once; a call with two scalars is this route at one point and returns
+    a float.
     """
-    t, s = np.asarray(t), np.asarray(s)
-    # np.abs would take a complex value's modulus, and a bool as 0 or 1
-    if t.dtype.kind in "bc" or s.dtype.kind in "bc":
-        raise ValueError(f"t and s must be finite reals, got {t.dtype} and {s.dtype}")
-    try:
-        t, s = np.broadcast_arrays(np.abs(t, dtype=np.float64), np.abs(s, dtype=np.float64))
-    except TypeError as exc:  # not real numbers, or an int too large for a double
-        raise ValueError(f"t and s must be finite reals: {exc}") from exc
+    scalar = np.ndim(t) == np.ndim(s) == 0
+    t, s = np.broadcast_arrays(*(np.abs(_args.reals(v if np.ndim(v) else [v], "t and s")) for v in (t, s)))
     phase = t + s
-    if not np.isfinite(phase).all():
-        raise ValueError("t and s must be finite")
     panels = np.maximum(1, np.ceil(phase / LINE_PANEL_PHASE)).astype(np.int64)
     out = np.empty(t.shape)
     for count in set(panels.ravel().tolist()):
         pick = panels == count
         out[pick] = _line_rule(t[pick, None], s[pick, None], count)
-    return float(out) if out.ndim == 0 else out
+    return float(out[0]) if scalar else out
 
 
 def _line_rule(t, s, panels):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _args
 from .ensembles import EnsembleSpec, sample_matrix
 
 __all__ = [
@@ -94,6 +95,7 @@ class SpectrumSet:
     eigenvalues: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "master_seed", _args.seed(self.master_seed))
         shape = np.shape(self.eigenvalues)
         if len(shape) != 2 or shape[0] < 1 or shape[1] != self.spec.n:
             raise ValueError(
@@ -124,9 +126,7 @@ def eigenvalues(matrix):
     entries = matrix.entries
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"matrix must be square, got shape {entries.shape}")
-    if not np.all(np.isfinite(entries.real)) or (
-        np.iscomplexobj(entries) and not np.all(np.isfinite(entries.imag))
-    ):
+    if not np.isfinite(entries).all():
         raise ValueError("matrix entries must be finite")
     try:
         eigs = np.linalg.eigvals(entries)
@@ -155,7 +155,8 @@ def _chunk_plan(m, parallelism, cpus):
 
 def solver_processes(m, parallelism):
     """How many processes solve an m-sample run: this one, or the pool's workers."""
-    return 1 if parallelism <= 1 else len(_chunk_plan(m, parallelism, _usable_cpus()))
+    m, parallelism = _args.count(m, "m"), _args.count(parallelism, "parallelism")
+    return 1 if parallelism == 1 else len(_chunk_plan(m, parallelism, _usable_cpus()))
 
 
 def _solve_range(spec, master_seed, start, stop):
@@ -196,9 +197,9 @@ def sample_spectra(spec, m, master_seed, parallelism=1):
     `if __name__ == "__main__":` guard, because spawned workers import the
     main module.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if parallelism <= 1:
+    m, master_seed = _args.count(m, "m"), _args.seed(master_seed)
+    parallelism = _args.count(parallelism, "parallelism")
+    if parallelism == 1:
         out = _solve_range(spec, master_seed, 0, m)
     else:
         out = _solve_in_pool(spec, master_seed, _chunk_plan(m, parallelism, _usable_cpus()))
@@ -257,21 +258,12 @@ def load_spectra(path):
     try:
         head = json.loads(blob[len(_MAGIC):cut].decode())
         version = head["format_version"]
-        m = head["m"]
-        master_seed = head["master_seed"]
+        if version != FORMAT_VERSION:
+            raise CacheVersionError(f"{path}: unsupported format_version {version}")
+        m, master_seed = _args.count(head["m"], "m"), _args.seed(head["master_seed"])
         spec = EnsembleSpec.from_json_obj(head["spec"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CacheHeaderError(f"{path}: corrupt header ({exc})") from exc
-    if version != FORMAT_VERSION:
-        raise CacheVersionError(
-            f"{path}: format_version {version} unsupported (expected {FORMAT_VERSION})"
-        )
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise CacheHeaderError(f"{path}: corrupt header (m must be a positive integer, got {m!r})")
-    if isinstance(master_seed, bool) or not isinstance(master_seed, int) or not 0 <= master_seed < 2**64:
-        raise CacheHeaderError(
-            f"{path}: corrupt header (master_seed must be an integer in [0, 2^64), got {master_seed!r})"
-        )
     expected = 16 * m * spec.n
     actual = len(blob) - cut - 1
     if actual != expected:
@@ -283,4 +275,8 @@ def load_spectra(path):
     if not np.isfinite(eigs).all():
         raise CachePayloadError(f"{path}: payload holds a non-finite eigenvalue")
     eigs.flags.writeable = False
-    return SpectrumSet(spec=spec, master_seed=master_seed, eigenvalues=eigs)
+    sset = SpectrumSet(spec=spec, master_seed=master_seed, eigenvalues=eigs)
+    # one canonical header per set: a renamed, extra or reordered key is corruption
+    if blob[: cut + 1] != _header_bytes(sset):
+        raise CacheHeaderError(f"{path}: corrupt header (not the canonical header of its M, seed and spec)")
+    return sset

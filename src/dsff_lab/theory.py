@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import TABLE_MIN_ARGUMENT, _is_real, bessel_j_columns, truncation_order, weighted_column_sums
+from . import _args
+from .bessel import TABLE_MIN_ARGUMENT, bessel_j_columns, truncation_order, weighted_column_sums
 from .quadrature import real_axis_correction_line
 
 # Unused here: perfbench/tracing.py wraps bessel_j, weighted_bessel_series and
@@ -50,16 +51,10 @@ __all__ = [
     "timescales",
 ]
 
-def _is_finite(value):
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a double
-        return False
-
 
 @dataclass(frozen=True)
 class ComplexTime:
-    """Complex time tau = t + i s.
+    """Complex time tau = t + i s, with t and s stored as finite floats.
 
     theta is the polar angle of (t, s); phi is the conjugate angle with
     sin(phi) = t/|tau|, cos(phi) = s/|tau| (so phi = pi/2 - theta), the angle
@@ -71,16 +66,12 @@ class ComplexTime:
     s: float
 
     def __post_init__(self):
-        for value in (self.t, self.s):
-            if not _is_real(value):
-                raise ValueError(f"t and s must be real numbers, got {type(value).__name__}")
-        if not (_is_finite(self.t) and _is_finite(self.s)):
-            raise ValueError("t and s must be finite")
+        object.__setattr__(self, "t", _args.real(self.t, "t"))
+        object.__setattr__(self, "s", _args.real(self.s, "s"))
 
     @classmethod
     def from_polar(cls, abs_tau, theta):
-        if abs_tau < 0:
-            raise ValueError("abs_tau must be nonnegative")
+        abs_tau, theta = _args.real(abs_tau, "abs_tau", nonnegative=True), _args.real(theta, "theta")
         return cls(t=abs_tau * math.cos(theta), s=abs_tau * math.sin(theta))
 
     @property
@@ -125,21 +116,15 @@ def _j1_2s_over_s(s, j1_2s):
     return np.divide(j1_2s, s, out=np.ones(np.shape(s)), where=s > 0.0)
 
 
-def _validate(n, beta=2, kappa4=0.0, taus=()):
-    """The arguments of every route and of timescales as int, int, float and list, or ValueError.
-
-    n is an integer in [1, 2^53], beta 1 or 2, kappa4 a finite real and taus ComplexTimes.
-    """
-    if not (_is_real(n) and isinstance(n, (int, np.integer)) and 1 <= n <= 2**53):
-        raise ValueError("n must be a positive integer, at most 2^53")
-    if not (_is_real(beta) and isinstance(beta, (int, np.integer)) and beta in (1, 2)):
-        raise ValueError("beta must be 1 (real) or 2 (complex)")
-    if not (_is_real(kappa4) and _is_finite(kappa4)):
-        raise ValueError(f"kappa4 must be a finite real number, got {type(kappa4).__name__}")
-    taus = list(taus)
+def _complex_times(taus):
+    """taus as a list of ComplexTime points, or ValueError."""
+    try:
+        taus = list(taus)
+    except TypeError:
+        raise ValueError("taus must be a sequence of ComplexTime points") from None
     if not all(isinstance(tau, ComplexTime) for tau in taus):
         raise ValueError("taus must be ComplexTime points")
-    return int(n), int(beta), float(kappa4), taus
+    return taus
 
 
 _SERIES_WEIGHT = {1: "abs_k_sin_sq", 2: "abs_k"}
@@ -254,7 +239,8 @@ def dsff_theory_grid(taus, n, kappa4=0.0, beta=2):
     bessel_j_row. The terms are then computed for all points at once, the
     real-axis integral included.
     """
-    n, beta, kappa4, taus = _validate(n, beta, kappa4, taus)
+    n, beta = _args.count(n, "n"), _args.count(beta, "beta", 1, 2, "2")
+    kappa4, taus = _args.real(kappa4, "kappa4"), _complex_times(taus)
     if not taus:
         return []
     size = len(taus)
@@ -293,7 +279,7 @@ def ginibre_exact_dsff_grid(taus, n):
     J_1(|tau|) comes from one bessel_j_columns call, which decides which
     points share a table.
     """
-    n, _, _, taus = _validate(n, taus=taus)
+    n, taus = _args.count(n, "n"), _complex_times(taus)
     if not taus:
         return []
     args = [tau.abs_tau for tau in taus]
@@ -310,5 +296,5 @@ class Timescales:
 
 
 def timescales(n):
-    n = _validate(n)[0]
+    n = _args.count(n, "n")
     return Timescales(tau_edge=float(n) ** 0.4, tau_hei=math.sqrt(float(n)))

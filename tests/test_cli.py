@@ -459,6 +459,14 @@ def exit_files(tmp_path_factory):
         head = header.replace(b'"master_seed":5', f'"master_seed":{seed}'.encode())
         assert head != header
         Path(files[name]).write_bytes(head + b"\n" + payload)
+    # headers that parse into a valid set but are not that set's canonical header
+    for name, old, new in (("kappa4_renamed", b'"kappa4":', b'"kappa_4":'),
+                           ("extra_key", b'{"format_version"', b'{"comment":"x","format_version"'),
+                           ("reordered_keys", b'"format_version":1,"m":12', b'"m":12,"format_version":1')):
+        files[name] = str(tmp / f"{name}.bin")
+        head = header.replace(old, new)
+        assert head != header
+        Path(files[name]).write_bytes(head + b"\n" + payload)
     return files
 
 
@@ -493,6 +501,9 @@ EXIT_CASES = [
     ("float-seed-cache", "estimate --spectra {seed_float}", 3, None, "master_seed"),
     ("null-seed-cache", "estimate --spectra {seed_null}", 3, None, "master_seed"),
     ("bool-seed-cache", "estimate --spectra {seed_bool}", 3, None, "master_seed"),
+    ("renamed-kappa4-cache", "estimate --spectra {kappa4_renamed}", 3, None, "canonical"),
+    ("extra-key-cache", "estimate --spectra {extra_key}", 3, None, "canonical"),
+    ("reordered-keys-cache", "estimate --spectra {reordered_keys}", 3, None, "canonical"),
     ("ragged-row", "compare --estimate {ragged} --theory {thy}", 3, None, "fields"),
     ("non-numeric-field", "compare --estimate {non_numeric} --theory {thy}", 3, None, "abc"),
     ("no-header", "compare --estimate {no_header} --theory {thy}", 3, None, "no header"),
@@ -514,3 +525,47 @@ def test_exit_codes(exit_files, monkeypatch, capsys, argv, code, fault, message)
     assert _exit_code(argv.format(**exit_files).split()) == code
     captured = capsys.readouterr()
     assert message in captured.err + captured.out
+
+
+def _mutations(rng, blob, tokens):
+    """Copies of blob with one seeded fault each: a flipped bit, a byte set,
+    cut or doubled, or one of its tokens replaced by another."""
+    for _ in range(600):
+        at = int(rng.integers(len(blob)))
+        kind = int(rng.integers(5))
+        if kind == 0:
+            yield blob[:at] + bytes([blob[at] ^ (1 << int(rng.integers(8)))]) + blob[at + 1:]
+        elif kind == 1:
+            yield blob[:at] + bytes([int(rng.integers(256))]) + blob[at + 1:]
+        elif kind == 2:
+            yield blob[:at] + blob[at + 1:]
+        elif kind == 3:
+            yield blob[:at] + blob[at:at + 1] * 2 + blob[at + 1:]
+        else:
+            old, new = (tokens[int(i)] for i in rng.choice(len(tokens), 2, replace=False))
+            yield blob.replace(old, new, 1)
+
+
+def test_mutated_caches_and_csvs_exit_cleanly(exit_files, tmp_path, capsys):
+    """Seeded faults in a cache (through estimate) and in an estimate CSV
+    (through compare --svg) end in exit code 0, 2 or 3, never an exception."""
+    rng = np.random.default_rng(2029)
+    cache = Path(exit_files["cache"]).read_bytes()
+    cache_tokens = [b'"m":12', b'"m":1', b'"n":16', b'"n":8', b'"master_seed":5', b'"kappa4":0.0',
+                    b'"kappa4":-1.0', b'"complex"', b'"real"', b'"format_version":1', b'"format_version":2',
+                    b"{", b""]
+    csv = Path(exit_files["est"]).read_bytes()
+    csv_tokens = [b"nan", b"inf", b"-inf", b"0.0", b"-1e308", b"1e999", b"x", b",", b"", b"\n", b"k_mean",
+                  b"# config: "]
+    runs = [("estimate", blob) for blob in _mutations(rng, cache, cache_tokens)]
+    runs += [("compare", blob) for blob in _mutations(rng, csv, csv_tokens)]
+    for i, (command, blob) in enumerate(runs):
+        path = tmp_path / f"case{i}"
+        path.write_bytes(blob)
+        if command == "estimate":
+            argv = ["estimate", "--spectra", str(path), "--points", "6", "--out", str(tmp_path / "e.csv")]
+        else:
+            argv = ["compare", "--estimate", str(path), "--theory", exit_files["thy"],
+                    "--out", str(tmp_path / "c.csv"), "--svg", str(tmp_path / "c.svg")]
+        assert _exit_code(argv) in (0, 2, 3), (i, command, blob[:200])
+    capsys.readouterr()

@@ -63,7 +63,7 @@ def _assert_close_to_direct(got, re, im, t, s):
 
 def test_phases_up_to_the_cli_limit():
     re, im = _random_parts(6, 64, 20)
-    scale = 1e8 / np.abs(re).max()  # t x reaches 1e8, cli.MAX_PHASE
+    scale = 1e8 / np.abs(re).max()  # t x reaches 1e8, estimator.MAX_PHASE
     for t, s in ((scale, 0.0), (0.5 * scale, -0.4 * scale), (3.7e5, 2.9e5)):
         _assert_close_to_direct(kernels.linear_stat_sums(re, im, t, s), re, im, t, s)
 
