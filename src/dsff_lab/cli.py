@@ -29,7 +29,7 @@ import time
 
 from . import SCHEMA, __version__
 from .ensembles import DISTRIBUTIONS, FIELDS, EnsembleSpec
-from .estimator import build_tau_grid, dsff_grid, ray_order
+from .estimator import build_tau_grid, dsff_grid
 from .spectra import (
     EigensolverError,
     SpectraError,
@@ -77,17 +77,14 @@ class CsvFormatError(Exception):
 # formatting and small IO helpers
 
 
-def _fmt(v):
-    return repr(float(v)) if isinstance(v, float) else str(int(v))
-
-
 def _config_line(obj):
     return "# config: " + json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _csv_text(config, columns, rows):
+    """CSV text of rows of Python floats and ints, each value in its repr."""
     lines = ["# " + SCHEMA, _config_line(config), ",".join(columns)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    lines.extend(",".join(map(repr, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -197,7 +194,7 @@ def _cmd_estimate(args):
         for est in estimates
     ]
     _write_text(args.out, _csv_text(config, ESTIMATE_COLUMNS, rows))
-    order = ray_order(sset, taus)
+    order = estimates[0].ray_order
     route = "route=pointwise" if order is None else f"route=ray order={order}"
     print(
         f"estimated points={len(estimates)} seconds={elapsed:.3f} "
@@ -224,7 +221,7 @@ def _theory_row(p):
         p.connected,
         *p.e_terms.values(),
         *p.v_terms.values(),
-        p.validity_warning,
+        int(p.validity_warning),
         p.n,
     )
 

@@ -17,18 +17,19 @@ The L values come from one of two kernels. A grid whose points lie on one ray
 goes through the Chebyshev-moment route `kernels.ray_linear_stat_sums` when
 `ray_order` finds it cheaper; every other grid, `dsff_point` included, goes
 point by point through `kernels.linear_stat_sums`. Per sample, the ray route
-costs K + 1 orders of one Chebyshev step per eigenvalue and one contraction
-term per point, (K + 1)(N + P) steps, and the pointwise route POINT_COST
-steps per eigenvalue and point (one tangent and its half-angle identity);
-M cancels. The ray route also keeps its moment and Bessel tables within four
-times the (P, M) complex array of L that both routes return. Either way the
+costs K + 1 moments of one Chebyshev step per eigenvalue (one row dot of two
+stored orders and half a recurrence step) and one contraction term per
+point, (K + 1)(N + P) steps, and the pointwise route POINT_COST steps per
+eigenvalue and point (one tangent and its half-angle identity); M cancels.
+The ray route also keeps its moment and Bessel tables within four times the
+(P, M) complex array of L that both routes return. Either way the
 statistics below are computed by whole-array numpy steps over cache-sized
 blocks of rows of that array.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,8 +53,10 @@ RAY_TOLERANCE = 8 * np.finfo(np.float64).eps
 
 # Cost of one pointwise phase term (one tan and its half-angle identity) in
 # Chebyshev steps on one eigenvalue, the unit of the ray route's cost rule:
-# 5-10, about 7 in the median, with one thread on AVX-512 x86-64 (numpy 2.4).
-POINT_COST = 6.0
+# 3-16, about 8 in the median over 160 grid shapes, with one thread on
+# AVX-512 x86-64 (numpy 2.4), where a step is one moment of the product pass
+# (half a recurrence step and one row dot) plus one contraction term.
+POINT_COST = 8.0
 
 # Largest max |tau| * rho dsff_grid accepts: phases t*Re(lambda) + s*Im(lambda)
 # then carry a rounding error of about 1e8 * 2^-53 ~ 1e-8 rad.
@@ -70,6 +73,10 @@ class DsffEstimate:
     connected_stderr: float
     contact: float
     m: int
+    # the Chebyshev order K of the ray route if that route computed this
+    # estimate, None if the pointwise route did; two estimates with the same
+    # values compare equal whichever route gave them
+    ray_order: int | None = field(default=None, compare=False)
 
     @property
     def decomposition_available(self):
@@ -89,8 +96,10 @@ def estimate_from_linear_stats(stats, n, tau):
     return _estimates(stats[np.newaxis], _args.count(n, "n"), _complex_times([tau]))[0]
 
 
-def _estimates(stats, n, taus):
+def _estimates(stats, n, taus, order=None):
     """One DsffEstimate per row of a (P, M) array of L values, row p at taus[p].
+
+    order is the ray route's Chebyshev order K if it computed stats.
 
     Every statistic is a reduction along the rows, which numpy sums
     pairwise row by row, so row p gives the same bytes whatever P is. The
@@ -108,7 +117,7 @@ def _estimates(stats, n, taus):
         nan = float("nan")
         return [
             DsffEstimate(tau=tau, k_mean=k, k_stderr=nan, disconnected_unbiased=nan,
-                         connected=nan, connected_stderr=nan, contact=1.0 / n, m=m)
+                         connected=nan, connected_stderr=nan, contact=1.0 / n, m=m, ray_order=order)
             for tau, k in zip(taus, k_mean.tolist())
         ]
     work -= k_mean[:, np.newaxis]
@@ -134,7 +143,7 @@ def _estimates(stats, n, taus):
     connected_stderr = np.sqrt(np.maximum(m4 - s2 * s2, 0.0) / m) / n2
     columns = (k_mean, k_stderr, disconnected, s2 / n2, connected_stderr)
     return [
-        DsffEstimate(tau, k, k_se, disc, conn, conn_se, 1.0 / n, m)
+        DsffEstimate(tau, k, k_se, disc, conn, conn_se, 1.0 / n, m, order)
         for tau, k, k_se, disc, conn, conn_se in zip(taus, *(c.tolist() for c in columns))
     ]
 
@@ -188,8 +197,9 @@ def dsff_grid(sset, taus):
 
     A grid on one ray goes through kernels.ray_linear_stat_sums when
     ray_order says so; any other grid through kernels.linear_stat_sums, one
-    pass over the samples per point. A grid whose max |tau| times the
-    spectral radius exceeds MAX_PHASE is refused.
+    pass over the samples per point. Each estimate's ray_order field names
+    the route taken. A grid whose max |tau| times the spectral radius
+    exceeds MAX_PHASE is refused.
     """
     taus = _complex_times(taus)
     rho = sset.spectral_radius
@@ -200,16 +210,16 @@ def dsff_grid(sset, taus):
     re = np.asarray(sset.eigenvalues.real, dtype=np.float64)
     im = np.asarray(sset.eigenvalues.imag, dtype=np.float64)
     if plan is None:
-        stats = np.empty((len(taus), sset.m), dtype=np.complex128)
+        stats, order = np.empty((len(taus), sset.m), dtype=np.complex128), None
         for row, tau in zip(stats, taus):
             row[:] = kernels.linear_stat_sums(re, im, tau.t, tau.s)
     else:
-        stats = kernels.ray_linear_stat_sums(re, im, *plan)
+        stats, order = kernels.ray_linear_stat_sums(re, im, *plan), plan[3]
     # blocks of whole rows keep the statistics' work arrays in cache and the
     # memory peak flat; a row's bytes do not depend on the blocking
     rows = max(1, kernels._BLOCK_ELEMENTS // sset.m)
     return [est for a in range(0, len(taus), rows)
-            for est in _estimates(stats[a:a + rows], sset.n, taus[a:a + rows])]
+            for est in _estimates(stats[a:a + rows], sset.n, taus[a:a + rows], order)]
 
 
 def build_tau_grid(theta, tau_min, tau_max, points, spacing="log"):

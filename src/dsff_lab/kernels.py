@@ -15,13 +15,31 @@ cosine of -1 and a sine of order 1e-26. `ray_linear_stat_sums` evaluates many
 complex times on one ray from Chebyshev moments and one Bessel contraction,
 so no trigonometric function is computed per point.
 
+The moments C_k = sum_j T_k(u_j) up to order K come from the three-term
+recurrence run only to order ceil(K / 2) and the product identities
+
+    2 T_k^2 = T_2k + 1,    2 T_k T_k+1 = T_2k+1 + T_1,
+
+so each moment costs one fused row dot of two stored orders and each order
+half a recurrence step: about 2K passes over the eigenvalues where the full
+recurrence takes 3K. Against the recurrence to order K, the moments differ
+by at most 4.5 N eps (eps = 2^-52) at K = 600 on N = 128 disk spectra that
+include u = +-1, and by up to 51 N eps (1.5e-12) once u = +-(1 - 1e-6) join
+them; there T_K is conditioned like K^2 and both routes miss 30-digit values
+by about 2e-12 per eigenvalue.
+
 Both run over blocks of whole rows of about `_BLOCK_ELEMENTS` eigenvalues in
 work arrays of that size, so neither makes an (m, n) temporary. Both are
 byte-identical across runs on one numpy build and SIMD dispatch level (numpy
-picks its tan and its einsum loops by CPU): each row's sums do not depend on
-the blocking, numpy's pairwise reductions fix the summation order for fixed
-shapes, and the contraction runs through einsum's own loops, not BLAS, so
-the BLAS build and thread count do not enter.
+picks its tan and its einsum loops by CPU), and neither uses BLAS, so the
+BLAS build and thread count do not enter: the row dots and the contraction
+run through einsum's own loops (no optimize, no dot or matmul). Each row's
+sums do not depend on the blocking: numpy's pairwise reductions fix the
+summation order for fixed shapes, and einsum sums a row of up to 8,192
+eigenvalues (its buffer) in one inner loop; a longer row is summed in
+buffer-sized pieces that a block of several rows would place differently,
+so such rows must go one per block, which 2 * 8,193 > _BLOCK_ELEMENTS
+ensures.
 """
 import numpy as np
 
@@ -31,7 +49,8 @@ __all__ = ["linear_stat_sums", "ray_linear_stat_sums", "backend"]
 
 # Both kernels run over blocks of whole rows of about this many eigenvalues,
 # so their work arrays stay in cache and the memory peak stays small. Each
-# row's sums do not depend on the blocking, so neither do the bytes.
+# row's sums do not depend on the blocking, so neither do the bytes, as long
+# as a row longer than einsum's 8,192-element buffer gets a block of its own.
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -66,23 +85,37 @@ def linear_stat_sums(re, im, t, s):
 
 
 def _chebyshev_moments(re, im, direction, rho, order):
-    """(order + 1, m) array of C_k = sum_j T_k(u_j), u = (c x + s y) / rho."""
+    """(order + 1, m) array of C_k = sum_j T_k(u_j), u = (c x + s y) / rho.
+
+    The three-term recurrence runs only to T_h, h = ceil(order / 2), and each
+    moment past C_1 is one fused row dot of two of those orders:
+
+        C_2k = 2 sum_j T_k(u_j)^2 - n,    C_2k+1 = 2 sum_j T_k(u_j) T_k+1(u_j) - C_1.
+    """
     c, s = direction
     m, n = re.shape
     moments = np.empty((order + 1, m))
     moments[0] = n
     rows = max(1, _BLOCK_ELEMENTS // n)
     for a in range(0, m, rows):
-        u = re[a:a + rows] * (c / rho)
-        u += im[a:a + rows] * (s / rho)
-        moments[1, a:a + rows] = u.sum(axis=1)
+        block = slice(a, a + rows)
+        u = re[block] * (c / rho)
+        u += im[block] * (s / rho)
+        moments[1, block] = u.sum(axis=1)
         two_u = 2.0 * u
         prev, cur, scratch = np.ones_like(u), u, np.empty_like(u)
-        for k in range(2, order + 1):
-            np.multiply(two_u, cur, out=scratch)
-            np.subtract(scratch, prev, out=prev)  # T_k = 2 u T_{k-1} - T_{k-2}
-            prev, cur = cur, prev
-            moments[k, a:a + rows] = cur.sum(axis=1)
+        for k in range(1, (order + 1) // 2 + 1):
+            if k > 1:
+                np.multiply(two_u, cur, out=scratch)
+                np.subtract(scratch, prev, out=prev)  # T_k = 2 u T_{k-1} - T_{k-2}
+                prev, cur = cur, prev
+                np.einsum("ij,ij->i", prev, cur, optimize=False, out=moments[2 * k - 1, block])
+            if 2 * k <= order:
+                np.einsum("ij,ij->i", cur, cur, optimize=False, out=moments[2 * k, block])
+    moments[2::2] *= 2.0
+    moments[2::2] -= n
+    moments[3::2] *= 2.0
+    moments[3::2] -= moments[1]
     return moments
 
 
@@ -96,9 +129,10 @@ def ray_linear_stat_sums(re, im, direction, radii, rho, order):
         exp(i X u) = J_0(X) + 2 sum_{k>=1} i^k J_k(X) T_k(u)
 
     turns every sum into one contraction of the per-sample Chebyshev
-    moments C_k = sum_j T_k(u_j), built once by the three-term recurrence,
-    with the Bessel column J_0..J_K(X): even k give Re L, odd k give Im L.
-    Truncating at K costs about sum_{k>K} |J_k(X)| per eigenvalue.
+    moments C_k = sum_j T_k(u_j), built once from orders up to ceil(K / 2)
+    by the product identities (module docstring), with the Bessel column
+    J_0..J_K(X): even k give Re L, odd k give Im L. Truncating at K costs
+    about sum_{k>K} |J_k(X)| per eigenvalue. No step uses BLAS.
 
     re, im: (m, n) float64 arrays (views are fine). Returns a
     (len(radii), m) complex128 array whose row p holds the m sums at radius
@@ -110,9 +144,10 @@ def ray_linear_stat_sums(re, im, direction, radii, rho, order):
     weights[2::4] *= -1.0  # i^k = -1 for k = 2 mod 4
     weights[3::4] *= -1.0  # i^k = -i for k = 3 mod 4
     out = np.empty((weights.shape[1], moments.shape[1]), dtype=np.complex128)
-    # einsum without optimize runs its own loops, never BLAS
-    np.einsum("km,kp->pm", moments[0::2], weights[0::2], optimize=False, out=out.real)
-    np.einsum("km,kp->pm", moments[1::2], weights[1::2], optimize=False, out=out.imag)
+    # einsum without optimize runs its own loops, never BLAS; it fills
+    # contiguous arrays faster than the strided out.real and out.imag
+    out.real = np.einsum("km,kp->pm", moments[0::2], weights[0::2], optimize=False)
+    out.imag = np.einsum("km,kp->pm", moments[1::2], weights[1::2], optimize=False)
     return out
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _args
+from .bessel import MAX_ORDER
 
 __all__ = [
     "DiskGrid",
@@ -47,6 +48,11 @@ __all__ = [
 # oscillation than that.
 LINE_PANEL_NODES = 96
 LINE_PANEL_PHASE = 128.0
+
+# Largest |t| + |s| the line rule takes, 2 max_order: theory's Bessel tables
+# stop at |tau| of about max_order, and every panel count below this limit is
+# a small int (at most 313 panels).
+LINE_MAX_PHASE = 2.0 * MAX_ORDER
 
 
 @dataclass(frozen=True)
@@ -266,7 +272,8 @@ def real_axis_correction_line(t, s):
     I is computed from |t| and |s|, which makes it bitwise even in both.
     Equals real_axis_correction_integral(t, s, grid) up to the grid's error.
 
-    t and s are finite reals or 1-D arrays of them, broadcast together.
+    t and s are finite reals or 1-D arrays of them, broadcast together, with
+    |t| + |s| at most LINE_MAX_PHASE.
     The result holds I at each (t, s), the points of one panel count taken
     at once; a call with two scalars is this route at one point and returns
     a float.
@@ -274,6 +281,8 @@ def real_axis_correction_line(t, s):
     scalar = np.ndim(t) == np.ndim(s) == 0
     t, s = np.broadcast_arrays(*(np.abs(_args.reals(v if np.ndim(v) else [v], "t and s")) for v in (t, s)))
     phase = t + s
+    if (phase > LINE_MAX_PHASE).any():
+        raise ValueError(f"t and s must have |t| + |s| at most {LINE_MAX_PHASE:g}, got {float(phase.max())!r}")
     panels = np.maximum(1, np.ceil(phase / LINE_PANEL_PHASE)).astype(np.int64)
     out = np.empty(t.shape)
     for count in set(panels.ravel().tolist()):

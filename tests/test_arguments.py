@@ -118,6 +118,12 @@ BAD_REAL_OR_REALS = {
     "bool_pair": (np.array([True, False]), "bool"),
     "false_array": (np.array([False]), "bool"),
 }
+# (t, s) pairs past the line rule's reach, whose panel count no int64 holds or
+# whose nodes no memory does
+BAD_LINE_REACH = {
+    "reach_1e300": ((1e300, 1.0), "at most"),
+    "reach_1e12": ((1e12, 0.0), "at most"),
+}
 
 SPEC = EnsembleSpec("real", "gaussian", 4)
 SSET = SpectrumSet(spec=SPEC, master_seed=0, eigenvalues=np.array([[0.5, -0.5j, 0.2 + 0.1j, -0.3]]))
@@ -171,6 +177,8 @@ ROWS = [
      lambda v: real_axis_correction_line(v, 0.7), BAD_REAL_OR_REALS, "t and s"),
     ("real_axis_correction_line", "s",
      lambda v: real_axis_correction_line(1.5, v), BAD_REAL_OR_REALS, "t and s"),
+    ("real_axis_correction_line", "t",
+     lambda ts: real_axis_correction_line(*ts), BAD_LINE_REACH, "t and s"),
     ("EnsembleSpec", "n", lambda v: EnsembleSpec("real", "gaussian", v), BAD_COUNT, "n must"),
     ("sample_matrix", "master_seed", lambda v: sample_matrix(SPEC, v, 0), BAD_INDEX, "master_seed"),
     ("sample_matrix", "sample_index", lambda v: sample_matrix(SPEC, 3, v), BAD_INDEX, "sample_index"),

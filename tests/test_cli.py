@@ -322,9 +322,10 @@ def test_reused_parser_gives_the_same_theory_bytes(tmp_path):
 
 
 def test_csv_row_formatting():
-    row = (True, False, 3, 0.1, -0.0, math.nan, math.inf, np.float64(0.1))
+    # rows hold Python ints and floats, each written as its repr
+    row = (1, 0, 3, 0.1, -0.0, math.nan, math.inf)
     text = cli._csv_text({"command": "x"}, ["c"] * len(row), [row])
-    assert text.splitlines()[3] == "1,0,3,0.1,-0.0,nan,inf,0.1"
+    assert text.splitlines()[3] == "1,0,3,0.1,-0.0,nan,inf"
 
 
 def test_theory_tau_grid_default_reaches_past_plateau(tmp_path):
@@ -332,6 +333,8 @@ def test_theory_tau_grid_default_reaches_past_plateau(tmp_path):
     assert main(["theory", "--n", "100", "--points", "5", "--out", out]) == 0
     _, rows = _read_rows(out)
     assert float(rows[-1]["abs_tau"]) == pytest.approx(20.0, rel=1e-12, abs=0.0)  # 2 sqrt(N)
+    # the grid crosses N^(2/7), and the flag reads as an int
+    assert {row["validity_warning"] for row in rows} == {"0", "1"}
 
 
 @pytest.mark.parametrize("beta", ["1", "2", "exact"])

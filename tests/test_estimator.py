@@ -245,6 +245,7 @@ def test_grid_rows_match_the_per_row_reference_bytes(theta):
             re, im, (far.t / far.abs_tau, far.s / far.abs_tau), [tau.abs_tau for tau in taus],
             sset.spectral_radius, ray_order(sset, taus))
     for tau, row, est in zip(taus, rows, dsff_grid(sset, taus)):
+        assert est.ray_order == ray_order(sset, taus)
         got = (est.k_mean, est.k_stderr, est.disconnected_unbiased, est.connected,
                est.connected_stderr)
         assert got == _per_row_reference(row, sset.n)

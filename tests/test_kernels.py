@@ -109,6 +109,62 @@ def test_work_memory_stays_within_one_block():
     assert peak < 4 * 8 * kernels._BLOCK_ELEMENTS
 
 
+def _recurrence_moments(re, im, direction, rho, order):
+    """Reference route: C_k = sum_j T_k(u_j) by the three-term recurrence to order K."""
+    c, s = direction
+    m, n = re.shape
+    moments = np.empty((order + 1, m))
+    moments[0] = n
+    u = re * (c / rho) + im * (s / rho)
+    moments[1] = u.sum(axis=1)
+    two_u = 2.0 * u
+    prev, cur, scratch = np.ones_like(u), u.copy(), np.empty_like(u)
+    for k in range(2, order + 1):
+        np.multiply(two_u, cur, out=scratch)
+        np.subtract(scratch, prev, out=prev)  # T_k = 2 u T_{k-1} - T_{k-2}
+        prev, cur = cur, prev
+        moments[k] = cur.sum(axis=1)
+    return moments
+
+
+@pytest.mark.parametrize("order", [80, 300, 600])
+@pytest.mark.parametrize("edge", [(1.0, -1.0), (1.0, -1.0, 1.0 - 1e-6, -(1.0 - 1e-6))],
+                         ids=["ends", "ends-and-next-to-them"])
+def test_moments_match_the_three_term_recurrence(order, edge):
+    # disk spectra of radius 1 on the ray theta = 0, so u = x, with the
+    # first eigenvalues of every row put at the edge values
+    rng = np.random.default_rng(24)
+    eigs = np.sqrt(rng.uniform(0.0, 1.0, (16, 128))) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (16, 128)))
+    eigs[:, :len(edge)] = edge
+    re, im = np.ascontiguousarray(eigs.real), np.ascontiguousarray(eigs.imag)
+    got = kernels._chebyshev_moments(re, im, (1.0, 0.0), 1.0, order)
+    want = _recurrence_moments(re, im, (1.0, 0.0), 1.0, order)
+    assert got.shape == want.shape == (order + 1, 16)
+    assert np.array_equal(got[:2], want[:2])
+    # 16 rounding units per eigenvalue; next to u = +-1, T_K'(1) = K^2 and both
+    # routes round to about K^2 eps / 100 there (the recurrence misses 30-digit
+    # values by 1.7e-12 per eigenvalue at u = 1 - 1e-6 and K = 600), so each
+    # such eigenvalue adds K^2 eps / 16
+    eps = np.finfo(np.float64).eps
+    near_edge = sum(1 for u in edge if abs(u) != 1.0)
+    bound = 16 * re.shape[1] * eps + near_edge * order**2 * eps / 16
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@pytest.mark.parametrize("m, n", [(1, 64), (170, 200), (3, 9000)])
+def test_moments_and_ray_sums_ignore_the_row_split(m, n):
+    # (170, 200) runs blocks of 81 rows and a short last one; rows of 9000
+    # are longer than einsum's 8,192-element buffer
+    re, im = _random_parts(m, n, 25)
+    direction, rho = (math.cos(0.7), math.sin(0.7)), float(np.hypot(re, im).max())
+    radii = np.geomspace(0.05 / rho, 30.0 / rho, 17)
+    moments = kernels._chebyshev_moments(re, im, direction, rho, 41)
+    sums = kernels.ray_linear_stat_sums(re, im, direction, radii, rho, 41)
+    rows = [(re[i:i + 1], im[i:i + 1], direction) for i in range(m)]
+    assert np.hstack([kernels._chebyshev_moments(*row, rho, 41) for row in rows]).tobytes() == moments.tobytes()
+    assert np.hstack([kernels.ray_linear_stat_sums(*row, radii, rho, 41) for row in rows]).tobytes() == sums.tobytes()
+
+
 def _ray_inputs(theta, x_max, points=40, m=8, n=40, seed=5):
     re, im = _random_parts(m, n, seed)
     rho = float(np.hypot(re, im).max())
