@@ -336,8 +336,8 @@ def _weight_values(weight, k, phi):
         return k.astype(float)
     if weight == "k_squared":
         return k.astype(float) ** 2
-    if weight == "abs_k_sin_sq":
-        return k * np.sin(phi * k) ** 2
+    if weight == "abs_k_cos_sq":
+        return k * np.cos(phi * k) ** 2
     raise ValueError(f"unknown weight {weight!r}")
 
 
@@ -346,8 +346,9 @@ def weighted_column_sums(columns, orders, weight, phi=None):
 
     Column p of columns holds J_0..J_K(x_p), K = orders[p], as
     bessel_j_columns returns them. Weights: "abs_k" -> |k|, "k_squared" ->
-    k^2, "abs_k_sin_sq" -> |k| sin^2(phi_p k), phi holding one finite angle
-    per column. All three are even in k and vanish at k = 0, so the sum is
+    k^2, "abs_k_cos_sq" -> |k| cos^2(phi_p k), phi holding one finite angle
+    per column (theory's beta=1 series passes the polar angle theta of
+    tau). All three are even in k and vanish at k = 0, so the sum is
     twice the sum over k >= 1. A run of consecutive columns (a stretch of a
     ray) is summed at once when their K share int(4 log2(max(K, 128))); each
     column then takes as many terms as the largest K of the run (past its
@@ -357,8 +358,8 @@ def weighted_column_sums(columns, orders, weight, phi=None):
     """
     if phi is not None:
         phi = _args.reals(phi, "phi")
-    elif weight == "abs_k_sin_sq":
-        raise ValueError("weight 'abs_k_sin_sq' requires phi")
+    elif weight == "abs_k_cos_sq":
+        raise ValueError("weight 'abs_k_cos_sq' requires phi")
     sums = np.empty(len(orders))
     lo = 0
     for _, run in itertools.groupby(orders, lambda order: int(4.0 * math.log2(max(order, 128)))):
@@ -375,7 +376,7 @@ def weighted_bessel_series(x, weight, phi=None):
     """sum over all integer k of w(k) J_k(x)^2: weighted_column_sums at one argument.
 
     Its one column is J_0..J_K(x) from bessel_j_columns, K = truncation_order(x);
-    phi, which "abs_k_sin_sq" requires, is one finite real. Past the turning
+    phi, which "abs_k_cos_sq" requires, is one finite real. Past the turning
     point J_k^2 decays super-exponentially, and |k|-type weights grow at most
     quadratically, so the dropped tail is below 1e-29.
     """

@@ -263,7 +263,7 @@ def _z_score(diff, stderr):
 
 def _cmd_compare(args):
     est_needed = ["theta", "abs_tau", "t", "s", "k_mean", "k_stderr"]
-    thy_needed = ["t", "s", "k_total"]
+    thy_needed = ["t", "s", "k_total", "validity_warning", "N"]
     if args.subtract_disconnected:
         est_needed.append("disconnected_unbiased")
         thy_needed.append("disconnected")
@@ -273,6 +273,9 @@ def _cmd_compare(args):
         raise GridMismatchError(
             f"grid mismatch: {len(est_rows)} estimate rows vs {len(thy_rows)} theory rows"
         )
+    n = thy_rows[0]["N"] if thy_rows else 1.0
+    if not (1.0 <= n < math.inf and all(tr["N"] == n for tr in thy_rows)):
+        raise CsvFormatError(f"{args.theory}: N must be one finite value of at least 1")
     merged = []
     for i, (er, tr) in enumerate(zip(est_rows, thy_rows)):
         # written so that a NaN coordinate is a mismatch
@@ -305,6 +308,22 @@ def _cmd_compare(args):
         )
     else:
         print(f"rows={len(merged)} (no finite z-scores)", file=sys.stderr)
+    # the same tally by regime: below the dissipation time N^(2/5), up to the
+    # Heisenberg time sqrt(N), and beyond it
+    edge, hei = n**0.4, math.sqrt(n)
+    tally = [[0, 0], [0, 0], [0, 0]]
+    for row in merged:
+        if math.isfinite(row[7]):
+            regime = tally[(row[1] >= edge) + (row[1] >= hei)]
+            regime[0] += abs(row[7]) <= 3.0
+            regime[1] += 1
+    (a, b), (c, d), (e, f) = tally
+    warned = sum(1 for tr in thy_rows if tr["validity_warning"] != 0.0)
+    print(
+        f"within_3sigma by regime: |tau|<{edge:.4g} {a}/{b}, {edge:.4g}<=|tau|<{hei:.4g} {c}/{d}, "
+        f"|tau|>={hei:.4g} {e}/{f}; validity_warning rows={warned}",
+        file=sys.stderr,
+    )
 
     if args.svg:
         if args.subtract_disconnected:

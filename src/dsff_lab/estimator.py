@@ -13,18 +13,15 @@ k_mean = disconnected_unbiased + connected exactly (not just in expectation).
 The contact diagonal 1/N is part of k_mean; it is reported separately only
 for display.
 
-The L values come from one of two kernels. A grid whose points lie on one ray
-goes through the Chebyshev-moment route `kernels.ray_linear_stat_sums` when
-`ray_order` finds it cheaper; every other grid, `dsff_point` included, goes
-point by point through `kernels.linear_stat_sums`. Per sample, the ray route
-costs K + 1 moments of one Chebyshev step per eigenvalue (one row dot of two
-stored orders and half a recurrence step) and one contraction term per
-point, (K + 1)(N + P) steps, and the pointwise route POINT_COST steps per
-eigenvalue and point (one tangent and its half-angle identity); M cancels.
-The ray route also keeps its moment and Bessel tables within four times the
-(P, M) complex array of L that both routes return. Either way the
-statistics below are computed by whole-array numpy steps over cache-sized
-blocks of rows of that array.
+The L values come from one of two kernels. `dsff_grid` splits a grid into
+rays from the origin and sends a ray through the Chebyshev-moment route
+`kernels.ray_linear_stat_sums` when that is cheaper; every other point,
+`dsff_point` included, goes through `kernels.linear_stat_sums`. Per sample,
+a ray of P points costs (K + 1)(N + P) Chebyshev steps (K + 1 moments of a
+row dot and half a recurrence step per eigenvalue, one contraction term per
+point), the pointwise route POINT_COST steps per eigenvalue and point (one
+tangent and its half-angle identity); M cancels. The statistics below are
+whole-array numpy steps over cache-sized blocks of rows of L.
 """
 from __future__ import annotations
 
@@ -42,7 +39,6 @@ __all__ = [
     "estimate_from_linear_stats",
     "dsff_point",
     "dsff_grid",
-    "ray_order",
     "build_tau_grid",
 ]
 
@@ -153,73 +149,66 @@ def dsff_point(sset, tau):
     return dsff_grid(sset, [tau])[0]
 
 
-def _ray_plan(sset, taus):
-    """(direction, radii, rho, K) when the ray route should take this grid, else None.
+def _ray_plans(sset, taus):
+    """[(indices, (direction, radii, rho, K)), ...]: the rays the ray route takes.
 
-    It takes a grid of two or more points on one ray from the origin, with a
-    nonzero spectral radius, every positive r rho at least TABLE_MIN_ARGUMENT
-    and K at most MAX_ORDER, when (K + 1)(N + P) < POINT_COST P N, its cost
-    per sample against the pointwise route's, and when its moment and Bessel
-    tables, (K + 1)(M + P) floats, hold at most the 8 P M floats of four
-    (P, M) complex arrays of L.
+    A ray is every point left whose direction agrees within RAY_TOLERANCE
+    with the farthest point left (the origin joins the first ray). A ray of
+    P points qualifies when rho > 0, every positive r rho >= TABLE_MIN_ARGUMENT,
+    K <= MAX_ORDER and (K + 1)(N + P) < POINT_COST P N, its cost per sample
+    against the pointwise route's; one point never pays.
     """
-    p, m, n = len(taus), sset.m, sset.n
-    if p < 2:
-        return None
-    radii = np.array([tau.abs_tau for tau in taus])
-    far = taus[int(radii.argmax())]
-    rho = sset.spectral_radius
-    if radii.max() == 0.0 or rho == 0.0:
-        return None
-    c, s = far.t / far.abs_tau, far.s / far.abs_tau
-    for tau, r in zip(taus, radii):
-        if abs(tau.t * s - tau.s * c) > RAY_TOLERANCE * r or tau.t * c + tau.s * s < 0.0:
-            return None
-    x = rho * radii
-    if x[x > 0.0].min() < TABLE_MIN_ARGUMENT:
-        return None
-    order = truncation_order(float(x.max()))
-    if order > MAX_ORDER:
-        return None
-    if (order + 1) * (n + p) >= POINT_COST * p * n or (order + 1) * (m + p) > 8 * p * m:
-        return None
-    return (c, s), radii, rho, order
-
-
-def ray_order(sset, taus):
-    """Chebyshev order K if dsff_grid takes the ray route for this grid, else None."""
-    plan = _ray_plan(sset, _complex_times(taus))
-    return None if plan is None else plan[3]
+    rho, n = sset.spectral_radius, sset.n
+    t, s = np.array([(tau.t, tau.s) for tau in taus]).reshape(-1, 2).T
+    radii, left, plans = np.array([tau.abs_tau for tau in taus]), np.arange(len(taus)), []
+    while rho > 0.0 and left.size > 1 and radii[left].max() > 0.0:
+        far = left[radii[left].argmax()]
+        c, d = t[far] / radii[far], s[far] / radii[far]
+        cross, dot = t[left] * d - s[left] * c, t[left] * c + s[left] * d
+        on = (np.abs(cross) <= RAY_TOLERANCE * radii[left]) & (dot >= 0.0)
+        ray, left = left[on], left[~on]
+        x = rho * radii[ray]
+        order = truncation_order(float(x.max()))
+        if (x[x > 0.0].min(initial=math.inf) >= TABLE_MIN_ARGUMENT and order <= MAX_ORDER
+                and (order + 1) * (n + ray.size) < POINT_COST * ray.size * n):
+            plans.append((ray, ((c, d), radii[ray], rho, order)))
+    return plans
 
 
 def dsff_grid(sset, taus):
     """DSFF estimates over a tau grid.
 
-    A grid on one ray goes through kernels.ray_linear_stat_sums when
-    ray_order says so; any other grid through kernels.linear_stat_sums, one
-    pass over the samples per point. Each estimate's ray_order field names
-    the route taken. A grid whose max |tau| times the spectral radius
-    exceeds MAX_PHASE is refused.
+    The grid is split into rays (_ray_plans): a ray the cost rule favours
+    goes through kernels.ray_linear_stat_sums, every other point through
+    kernels.linear_stat_sums, one pass over the samples per point, in grid
+    order. Each estimate's ray_order field names the route taken. A grid
+    whose max |tau| times the spectral radius exceeds MAX_PHASE is refused.
     """
     taus = _complex_times(taus)
     rho = sset.spectral_radius
     reach = max((tau.abs_tau for tau in taus), default=0.0) * rho
     if reach > MAX_PHASE:
         raise ValueError(f"|tau| * rho = {reach:.3g} exceeds the phase limit {MAX_PHASE:g}, rho={rho:.6g}")
-    plan = _ray_plan(sset, taus)
     re = np.asarray(sset.eigenvalues.real, dtype=np.float64)
     im = np.asarray(sset.eigenvalues.imag, dtype=np.float64)
-    if plan is None:
-        stats, order = np.empty((len(taus), sset.m), dtype=np.complex128), None
-        for row, tau in zip(stats, taus):
-            row[:] = kernels.linear_stat_sums(re, im, tau.t, tau.s)
-    else:
-        stats, order = kernels.ray_linear_stat_sums(re, im, *plan), plan[3]
-    # blocks of whole rows keep the statistics' work arrays in cache and the
-    # memory peak flat; a row's bytes do not depend on the blocking
-    rows = max(1, kernels._BLOCK_ELEMENTS // sset.m)
-    return [est for a in range(0, len(taus), rows)
-            for est in _estimates(stats[a:a + rows], sset.n, taus[a:a + rows], order)]
+    placed = {}
+
+    def place(points, stats, order):
+        # blocks of whole rows keep the statistics' work arrays in cache and
+        # the memory peak flat; a row's bytes do not depend on the blocking
+        rows = max(1, kernels._BLOCK_ELEMENTS // sset.m)
+        for a in range(0, len(points), rows):
+            block = points[a:a + rows]
+            placed.update(zip(block, _estimates(stats[a:a + rows], sset.n, [taus[p] for p in block], order)))
+
+    for ray, plan in _ray_plans(sset, taus):
+        place(ray.tolist(), kernels.ray_linear_stat_sums(re, im, *plan), plan[3])
+    rest = [p for p in range(len(taus)) if p not in placed]
+    stats = np.empty((len(rest), sset.m), dtype=np.complex128)
+    for row, p in zip(stats, rest):
+        row[:] = kernels.linear_stat_sums(re, im, taus[p].t, taus[p].s)
+    place(rest, stats, None)
+    return [placed[p] for p in range(len(taus))]
 
 
 def build_tau_grid(theta, tau_min, tau_max, points, spacing="log"):

@@ -56,10 +56,11 @@ __all__ = [
 class ComplexTime:
     """Complex time tau = t + i s, with t and s stored as finite floats.
 
-    theta is the polar angle of (t, s); phi is the conjugate angle with
-    sin(phi) = t/|tau|, cos(phi) = s/|tau| (so phi = pi/2 - theta), the angle
-    entering the boundary Fourier weights sin^2(phi k). Both are 0 at tau=0
-    by convention.
+    theta is the polar angle of (t, s), the angle entering the beta=1
+    boundary Fourier weights cos^2(theta k); phi is the conjugate angle with
+    sin(phi) = t/|tau|, cos(phi) = s/|tau| (so phi = pi/2 - theta), the phase
+    of the boundary Fourier modes e^{i phi k} J_k(|tau|). Both are 0 at
+    tau=0 by convention.
     """
 
     t: float
@@ -127,7 +128,7 @@ def _complex_times(taus):
     return taus
 
 
-_SERIES_WEIGHT = {1: "abs_k_sin_sq", 2: "abs_k"}
+_SERIES_WEIGHT = {1: "abs_k_cos_sq", 2: "abs_k"}
 
 # The terms of E[L]/N and of Var(L) of dsff_theory, in the order of the theory
 # CSV's e_ and v_ columns.
@@ -146,7 +147,7 @@ def _terms(x, bessel, n, kappa4, beta, real):
     beta=1 the real-axis correction (I - J_0(|tau|) + J_0(t)/2 + cos(t)/2)/N.
     Var(L) = |tau|^2/4 + (1/2) sum |k| J_k^2 + kappa4 (2J_1/|tau| - J_0)^2 at
     beta=2; beta=1 adds (t^2 - s^2) J_1(2|s|)/(4|s|) and has the series
-    sum |k| sin^2(phi k) J_k^2 instead.
+    sum |k| cos^2(theta k) J_k^2 instead.
     """
     j0, j1x, j3x, series = bessel
     zero, xx, leading = np.zeros(x.shape), x * x, 2.0 * j1x
@@ -251,12 +252,12 @@ def dsff_theory_grid(taus, n, kappa4=0.0, beta=2):
         args += np.abs(t).tolist() + (2.0 * np.abs(s)).tolist()
         orders += [0] * size + [1] * size
     columns = bessel_j_columns(orders, args)
-    real = phi = None
+    real = theta = None
     if beta == 1:
-        phi, cos_t, ramp = np.array([(tau.phi, math.cos(tau.t), tau.t**2 - tau.s**2) for tau in taus]).T
+        theta, cos_t, ramp = np.array([(tau.theta, math.cos(tau.t), tau.t**2 - tau.s**2) for tau in taus]).T
         j1_2s_over_s = _j1_2s_over_s(s, columns[1, 2 * size :])
         real = (real_axis_correction_line(t, s), columns[0, size : 2 * size], cos_t, ramp, j1_2s_over_s)
-    series = weighted_column_sums(columns, orders[:size], _SERIES_WEIGHT[beta], phi)
+    series = weighted_column_sums(columns, orders[:size], _SERIES_WEIGHT[beta], theta)
     j1x = _j1_over_x(x, columns[1, :size])
     bessel = (columns[0, :size], j1x, _j3_over_x(x, columns[3, :size]), series)
     return _predictions(taus, n, beta, kappa4, *_terms(x, bessel, n, kappa4, beta, real))

@@ -351,6 +351,21 @@ def suite_theory():
         dev = max(dev, e_dev, abs(p.v_value - p0.v_value) / p0.v_value)
     checks.append(_check("reflection_invariance_real", dev, 1e-12, "beta=1 even in t and in s"))
 
+    # the beta=1 boundary term from its definition, (1/2) sum_k |k| (|f_k|^2 +
+    # Re f_k conj(g_k)), with f_k and g_k the Fourier coefficients of f and
+    # of g = f o conj on the unit circle, from an FFT of 4,096 samples
+    angles = 2.0 * math.pi * np.arange(4096) / 4096
+    abs_k = np.abs(np.fft.fftfreq(4096, 1.0 / 4096))
+    dev = 0.0
+    for t, s in ((1.5, 0.7), (-2.0, 3.1), (0.4, 4.2)):
+        f_k = np.fft.fft(np.exp(1j * (t * np.cos(angles) + s * np.sin(angles)))) / 4096
+        g_k = np.fft.fft(np.exp(1j * (t * np.cos(angles) - s * np.sin(angles)))) / 4096
+        direct = 0.5 * float(np.sum(abs_k * (np.abs(f_k) ** 2 + (f_k * g_k.conj()).real)))
+        dev = max(dev, abs(direct - dsff_theory(ComplexTime(t, s), 256, beta=1).v_terms["series"]))
+    checks.append(
+        _check("real_boundary_term_definition", dev, 1e-12, "beta=1 series vs FFT of f and f o conj")
+    )
+
     dev = 0.0
     for x in (2.0, 5.0):
         mean_route = grid.integrate_rows(quadrature.plane_wave_row_sums(grid, x, 0.0)) / math.pi
@@ -582,13 +597,14 @@ def suite_estimator():
         eigenvalues=np.vstack([_random_spectrum(rng, 64) for _ in range(200)]),
     )
     taus = estimator.build_tau_grid(0.3, 0.5, 8.0, 40, "log")
-    order = estimator.ray_order(sset_r, taus)
+    ests = estimator.dsff_grid(sset_r, taus)
+    order = ests[0].ray_order
     if order is None:
         dev, detail = math.inf, "ray route not taken"
     else:
         dev = max(
             abs(est.k_mean - estimator.dsff_point(sset_r, tau).k_mean) / est.k_mean
-            for tau, est in zip(taus, estimator.dsff_grid(sset_r, taus))
+            for tau, est in zip(taus, ests)
         )
         detail = f"Chebyshev ray route (K={order}) vs pointwise kernel, 40 points, M=200"
     checks.append(_check("ray_route_matches_pointwise", dev, 1e-12, detail))

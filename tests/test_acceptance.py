@@ -1,5 +1,8 @@
 """Acceptance gate: six criteria, one test each, one report line each.
 
+Beside them, one more test holds beta=1 theory to real-gaussian data on
+three rays at once, where the boundary term's angular dependence shows.
+
 The heavyweight spectrum sets live in the session disk cache (see conftest);
 the first run samples them (minutes of dense eigendecompositions), later
 runs load bytes. Criterion A1 is evaluated exactly as stated; see the
@@ -14,7 +17,7 @@ import pytest
 from dsff_lab.cli import main
 from dsff_lab.estimator import build_tau_grid, dsff_grid, dsff_point
 from dsff_lab.spectra import SpectrumSet
-from dsff_lab.theory import ComplexTime, dsff_theory
+from dsff_lab.theory import ComplexTime, dsff_theory, dsff_theory_grid
 from dsff_lab.verify import run_suites
 
 N_BIG = 256
@@ -160,6 +163,24 @@ def test_a5_deterministic_identity_suites(acceptance_report):
         f"({total - len(failed)}/{total} checks)"
     )
     assert not failed, f"failed checks: {failed}"
+
+
+def test_real_connected_part_on_three_rays(real_big, acceptance_report):
+    # beta=1 theory against real-gaussian data in its proven range |tau| <=
+    # N^(2/7), on the rays theta = 0, pi/4 and pi/2 of one dsff_grid call:
+    # the boundary term of Var L depends on the angle through cos^2(k theta)
+    taus = [tau for theta in (0.0, math.pi / 4, math.pi / 2)
+            for tau in build_tau_grid(theta, 0.5, N_BIG ** (2.0 / 7.0), 6)]
+    predictions = dsff_theory_grid(taus, N_BIG, kappa4=0.0, beta=1)
+    z = [abs(est.connected - p.connected) / est.connected_stderr
+         for est, p in zip(dsff_grid(real_big, taus), predictions)]
+    hits = sum(1 for v in z if v <= 3.0)
+    passed = hits >= math.ceil(0.95 * len(taus))
+    acceptance_report(
+        f"beta=1 connected on three rays, |tau| <= N^(2/7), N=256, M=4000: "
+        f"{'PASS' if passed else 'FAIL'} ({hits}/{len(taus)} within 3 sigma, worst |z|={max(z):.1f})"
+    )
+    assert passed
 
 
 def test_a6_worker_count_reproducibility(tmp_path, acceptance_report):

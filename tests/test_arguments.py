@@ -24,7 +24,7 @@ from dsff_lab.bessel import (
     weighted_column_sums,
 )
 from dsff_lab.ensembles import EnsembleSpec, sample_matrix
-from dsff_lab.estimator import build_tau_grid, dsff_grid, dsff_point, estimate_from_linear_stats, ray_order
+from dsff_lab.estimator import build_tau_grid, dsff_grid, dsff_point, estimate_from_linear_stats
 from dsff_lab.quadrature import (
     chord_integral,
     disk_grid,
@@ -143,9 +143,9 @@ ROWS = [
     ("bessel_j_columns", "xs", lambda v: bessel_j_columns([2], [v]), BAD_REAL_ITEM, "argument"),
     ("weighted_bessel_series", "x", lambda v: weighted_bessel_series(v, "abs_k"), BAD_REAL, "argument"),
     ("weighted_bessel_series", "phi",
-     lambda v: weighted_bessel_series(2.0, "abs_k_sin_sq", v), BAD_PHI, "phi"),
+     lambda v: weighted_bessel_series(2.0, "abs_k_cos_sq", v), BAD_PHI, "phi"),
     ("weighted_column_sums", "phi",
-     lambda v: weighted_column_sums(np.zeros((3, 1)), [2], "abs_k_sin_sq", v), BAD_REALS, "phi"),
+     lambda v: weighted_column_sums(np.zeros((3, 1)), [2], "abs_k_cos_sq", v), BAD_REALS, "phi"),
     ("ComplexTime", "t", lambda v: ComplexTime(v, 0.0), BAD_REAL, "t must"),
     ("ComplexTime", "s", lambda v: ComplexTime(0.0, v), BAD_REAL, "s must"),
     ("ComplexTime.from_polar", "abs_tau", lambda v: ComplexTime.from_polar(v, 0.3), BAD_REAL, "abs_tau"),
@@ -196,7 +196,6 @@ ROWS = [
      lambda v: estimate_from_linear_stats(np.ones(3), 4, v), BAD_POINT, "taus"),
     ("dsff_point", "tau", lambda v: dsff_point(SSET, v), BAD_POINT, "taus"),
     ("dsff_grid", "taus", lambda v: dsff_grid(SSET, [TAU, v]), BAD_POINT, "taus"),
-    ("ray_order", "taus", lambda v: ray_order(SSET, [TAU, v]), BAD_POINT, "taus"),
     ("build_tau_grid", "theta", lambda v: build_tau_grid(v, 0.1, 2.0, 3), BAD_REAL, "theta"),
     ("build_tau_grid", "tau_min", lambda v: build_tau_grid(0.0, v, 2.0, 3), BAD_REAL, "tau_min"),
     ("build_tau_grid", "tau_max", lambda v: build_tau_grid(0.0, 0.1, v, 3), BAD_REAL, "tau_max"),
@@ -257,7 +256,7 @@ def test_every_public_numeric_parameter_has_a_row_or_an_exemption():
 
 
 def test_a_grid_that_is_no_sequence_is_refused():
-    calls = (lambda: dsff_grid(SSET, TAU), lambda: dsff_theory_grid(1.0, 16), lambda: ray_order(SSET, None))
+    calls = (lambda: dsff_grid(SSET, TAU), lambda: dsff_theory_grid(1.0, 16))
     for call in calls:
         with pytest.raises(ValueError, match="sequence of ComplexTime"):
             call()

@@ -76,8 +76,8 @@ def test_weighted_series_frozen():
     assert weighted_bessel_series(20.0, "abs_k") == pytest.approx(
         12.722306391429547, rel=1e-12, abs=0.0
     )
-    assert weighted_bessel_series(3.0, "abs_k_sin_sq", phi=0.7) == pytest.approx(
-        1.45950548619547, rel=1e-12, abs=0.0
+    assert weighted_bessel_series(3.0, "abs_k_cos_sq", phi=0.7) == pytest.approx(
+        0.44830531822466924, rel=1e-12, abs=0.0
     )
 
 
@@ -85,19 +85,19 @@ def test_weighted_series_frozen():
 WEIGHTED_REFERENCE = [
     (0.5, "abs_k", 0.1211740797843587),
     (0.5, "k_squared", 0.125),
-    (0.5, "abs_k_sin_sq", 0.052385556761398323),
+    (0.5, "abs_k_cos_sq", 0.068788523022960381),
     (5.0, "abs_k", 3.1803326282302389),
     (5.0, "k_squared", 12.5),
-    (5.0, "abs_k_sin_sq", 1.1111155846046186),
+    (5.0, "abs_k_cos_sq", 2.0692170436256204),
     (11.5, "abs_k", 7.3253685777326019),
     (11.5, "k_squared", 66.125),
-    (11.5, "abs_k_sin_sq", 3.597289400274297),
+    (11.5, "abs_k_cos_sq", 3.7280791774583049),
 ]
 
 
 @pytest.mark.parametrize("x, weight, want", WEIGHTED_REFERENCE)
 def test_weighted_series_matches_mpmath(x, weight, want):
-    phi = 0.7 if weight == "abs_k_sin_sq" else None
+    phi = 0.7 if weight == "abs_k_cos_sq" else None
     assert weighted_bessel_series(x, weight, phi=phi) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
@@ -109,8 +109,8 @@ def test_column_sums_match_mpmath(table_calls):
     orders = [truncation_order(x) for x in xs]
     columns = bessel_j_columns(orders, xs)
     assert len(table_calls) == 1
-    for weight in ("abs_k", "k_squared", "abs_k_sin_sq"):
-        phi = np.full(len(xs), 0.7) if weight == "abs_k_sin_sq" else None
+    for weight in ("abs_k", "k_squared", "abs_k_cos_sq"):
+        phi = np.full(len(xs), 0.7) if weight == "abs_k_cos_sq" else None
         sums = weighted_column_sums(columns, orders, weight, phi)
         got = {0.5: sums[0], 11.5: sums[23], 5.0: sums[24]}
         for x, w, want in WEIGHTED_REFERENCE:
@@ -132,10 +132,10 @@ def test_weighted_series_zero_argument():
 
 def test_weighted_series_requires_phi():
     with pytest.raises(ValueError, match="phi"):
-        weighted_bessel_series(2.0, "abs_k_sin_sq")
+        weighted_bessel_series(2.0, "abs_k_cos_sq")
     for phi in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="phi"):
-            weighted_bessel_series(2.0, "abs_k_sin_sq", phi=phi)
+            weighted_bessel_series(2.0, "abs_k_cos_sq", phi=phi)
 
 
 def test_unknown_weight_rejected():

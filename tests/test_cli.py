@@ -12,7 +12,7 @@ import pytest
 from dsff_lab import cli
 from dsff_lab.cli import main
 from dsff_lab.ensembles import EnsembleSpec
-from dsff_lab.estimator import build_tau_grid, ray_order
+from dsff_lab.estimator import build_tau_grid, dsff_grid
 from dsff_lab.spectra import SpectrumSet, sample_spectra, save_spectra
 
 
@@ -146,7 +146,7 @@ def test_sample_summary_goes_to_stderr(tmp_path, capsys):
     assert main(["estimate", "--spectra", str(cache), "--points", "40", "--out", str(est_csv)]) == 0
     summary = capsys.readouterr().err.splitlines()[-1].split()
     taus = build_tau_grid(0.0, 0.1, 16.0, 40)  # the default grid at N=64
-    assert summary[4:] == ["route=ray", f"order={ray_order(sset, taus)}"]
+    assert summary[4:] == ["route=ray", f"order={dsff_grid(sset, taus)[0].ray_order}"]
 
 
 def test_pool_workers_match_single_thread_serial_bytes(tmp_path):
@@ -271,6 +271,27 @@ def test_compare_subtract_disconnected(tmp_path):
         "--svg", svg, "--subtract-disconnected", "--out", str(tmp_path / "m.csv"),
     ]) == 0
     assert "connected" in Path(svg).read_text()
+
+
+def test_compare_prints_its_tally_by_regime(tmp_path, capsys):
+    # N=16: the regimes split at N^(2/5) = 3.031 and sqrt(N) = 4, and the
+    # validity warning starts at N^(2/7) = 2.208
+    _, est_csv, thy_csv = _run_pipeline(tmp_path)
+    merged = tmp_path / "m.csv"
+    capsys.readouterr()
+    assert main(["compare", "--estimate", est_csv, "--theory", thy_csv, "--out", str(merged)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    _, rows = _read_rows(merged)
+    z = [(float(r["abs_tau"]), abs(float(r["z"])) <= 3.0) for r in rows]
+    tally = [(sum(hit for x, hit in z if lo <= x < hi), sum(1 for x, _ in z if lo <= x < hi))
+             for lo, hi in ((0.0, 16**0.4), (16**0.4, 4.0), (4.0, math.inf))]
+    _, theory_rows = _read_rows(thy_csv)
+    warned = sum(r["validity_warning"] == "1" for r in theory_rows)
+    assert 0 < warned < len(theory_rows) and all(total > 0 for _, total in tally)
+    (a, b), (c, d), (e, f) = tally
+    assert lines[-1] == (f"within_3sigma by regime: |tau|<3.031 {a}/{b}, 3.031<=|tau|<4 {c}/{d}, "
+                         f"|tau|>=4 {e}/{f}; validity_warning rows={warned}")
+    assert lines[-2].startswith(f"rows=10 within_3sigma={a + c + e}/10 ")
 
 
 def test_verify_subcommand(tmp_path, capsys):

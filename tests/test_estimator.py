@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from dsff_lab import kernels
-from dsff_lab.bessel import MAX_ORDER
+from dsff_lab.bessel import MAX_ORDER, truncation_order
 from dsff_lab.ensembles import EnsembleSpec
 from dsff_lab.estimator import (
     build_tau_grid,
     dsff_grid,
     dsff_point,
     estimate_from_linear_stats,
-    ray_order,
 )
 from dsff_lab.spectra import SpectrumSet
 from dsff_lab.theory import ComplexTime
@@ -30,6 +29,12 @@ def _sset(eigs, field="complex"):
         master_seed=0,
         eigenvalues=eigs,
     )
+
+
+def _ray_order(sset, taus):
+    """The one ray_order that every estimate of the grid reports."""
+    (order,) = {est.ray_order for est in dsff_grid(sset, taus)}
+    return order
 
 
 def test_k_mean_matches_double_sum():
@@ -115,7 +120,7 @@ def test_dsff_grid_matches_pointwise():
     # dsff_point the pointwise kernel
     sset = _sset(_disk_spectra(200, 64, 9))
     taus = build_tau_grid(0.3, 0.5, 8.0, 40, "log")
-    assert ray_order(sset, taus) is not None
+    assert _ray_order(sset, taus) is not None
     grid_ests = dsff_grid(sset, taus)
     assert len(grid_ests) == 40
     for tau, est in zip(taus, grid_ests):
@@ -129,16 +134,42 @@ def test_long_ray_over_few_eigenvalues_takes_the_ray_route():
     # spectra, and the moment pass costs under a fifth of the phase sums
     sset = _sset(_disk_spectra(200, 64, 16))
     taus = build_tau_grid(0.7, 0.1, 16.0, 400, "log")
-    assert ray_order(sset, taus) is not None
+    assert _ray_order(sset, taus) is not None
     grid_ests = dsff_grid(sset, taus)
     for tau, est in list(zip(taus, grid_ests))[::40]:
         assert est.k_mean == pytest.approx(dsff_point(sset, tau).k_mean, rel=1e-12, abs=0.0)
 
 
+def test_a_long_ray_over_few_samples_takes_the_ray_route():
+    # 1,000 points to |tau| = 400 over 32 samples of N=256: K = 588, and the
+    # Bessel table, 589 x 1,000 entries, is larger than the L array
+    sset = _sset(1.2 * _disk_spectra(32, 256, 17))
+    taus = build_tau_grid(0.3, 0.1, 400.0, 1000)
+    ests = dsff_grid(sset, taus)
+    assert {e.ray_order for e in ests} == {truncation_order(sset.spectral_radius * taus[-1].abs_tau)}
+    for tau, est in list(zip(taus, ests))[::50]:
+        assert est.k_mean == pytest.approx(dsff_point(sset, tau).k_mean, rel=1e-12, abs=0.0)
+
+
+def _row_bytes(est):
+    return np.array([est.k_mean, est.k_stderr, est.disconnected_unbiased, est.connected,
+                     est.connected_stderr]).tobytes(), est.ray_order
+
+
+def test_a_grid_of_three_rays_gives_the_rows_of_three_one_ray_calls():
+    # the three rays' points interleaved in one grid, against one call per ray
+    sset = _sset(1.2 * _disk_spectra(300, 64, 18))
+    rays = [build_tau_grid(theta, 0.3, 12.0, 30) for theta in (0.0, math.pi / 4, math.pi / 2)]
+    apart = [[_row_bytes(est) for est in dsff_grid(sset, ray)] for ray in rays]
+    together = dsff_grid(sset, [tau for trio in zip(*rays) for tau in trio])
+    assert [_row_bytes(est) for est in together] == [row for trio in zip(*apart) for row in trio]
+    assert None not in {order for ray in apart for _, order in ray}
+
+
 def test_ray_grid_from_zero_is_exact_there():
     sset = _sset(_disk_spectra(200, 64, 10))
     taus = build_tau_grid(math.pi / 4, 0.0, 12.0, 40, "linear")
-    assert ray_order(sset, taus) is not None
+    assert _ray_order(sset, taus) is not None
     est = dsff_grid(sset, taus)[0]
     assert est.tau.abs_tau == 0.0
     assert est.k_mean == 1.0
@@ -150,7 +181,7 @@ def test_ray_grid_from_zero_is_exact_there():
 def test_ray_grid_is_bitwise_deterministic():
     sset = _sset(_disk_spectra(200, 64, 11))
     taus = build_tau_grid(1.1, 0.2, 10.0, 30, "log")
-    assert ray_order(sset, taus) is not None
+    assert _ray_order(sset, taus) is not None
     first, again = dsff_grid(sset, taus), dsff_grid(sset, taus)
     for a, b in zip(first, again):
         assert (a.k_mean, a.k_stderr, a.connected, a.connected_stderr) == (
@@ -176,14 +207,14 @@ def _count_kernel_calls(monkeypatch):
 def test_point_and_off_ray_grids_stay_pointwise(monkeypatch):
     sset = _sset(_disk_spectra(200, 64, 12))
     ray = build_tau_grid(0.4, 0.5, 8.0, 40, "log")
-    assert ray_order(sset, ray) is not None
+    assert _ray_order(sset, ray) is not None
     calls = _count_kernel_calls(monkeypatch)
     one = [ComplexTime(1.2, 0.7)]
-    off_ray = ray[:20] + build_tau_grid(0.9, 0.5, 8.0, 20, "log")
-    for taus in (one, off_ray):
-        assert ray_order(sset, taus) is None
+    # every point of an arc is a ray of its own, and one point never pays
+    arc = [ComplexTime.from_polar(8.0, 0.4 + 0.05 * k) for k in range(20)]
+    for taus in (one, arc):
         calls.clear()
-        assert [e.tau for e in dsff_grid(sset, taus)] == taus
+        assert [(e.tau, e.ray_order) for e in dsff_grid(sset, taus)] == [(tau, None) for tau in taus]
         assert calls == [(tau.t, tau.s) for tau in taus]
     dsff_point(sset, one[0])
     assert calls[-1] == (1.2, 0.7)
@@ -201,10 +232,13 @@ def test_figure_sized_grids_take_the_ray_route(m, n, tau_min, tau_max, points):
     sset = _sset(1.2 * _disk_spectra(m, n, 14))
     for theta in (0.0, math.pi / 4, math.pi / 2):
         ray = build_tau_grid(theta, tau_min, tau_max, points)
-        assert ray_order(sset, ray) is not None
-        assert ray_order(sset, ray[-1:]) is None
+        assert _ray_order(sset, ray) is not None
+        assert _ray_order(sset, ray[-1:]) is None
+        # two interleaved rays are split, and each takes the ray route
         other = build_tau_grid(theta + 0.5, tau_min, tau_max, points)
-        assert ray_order(sset, ray[::2] + other[1::2]) is None
+        mix = dsff_grid(sset, ray[::2] + other[1::2])
+        assert [e.ray_order for e in mix] == [_ray_order(sset, ray[::2])] * (points // 2) + [
+            _ray_order(sset, other[1::2])] * (points // 2)
 
 
 def _per_row_reference(stats, n):
@@ -236,16 +270,17 @@ def test_grid_rows_match_the_per_row_reference_bytes(theta):
     re, im = sset.eigenvalues.real, sset.eigenvalues.imag
     if theta is None:
         taus = [ComplexTime(0.05 * k, 2.0 - 0.02 * k) for k in range(60)]
-        assert ray_order(sset, taus) is None
+        assert _ray_order(sset, taus) is None
         rows = [kernels.linear_stat_sums(re, im, tau.t, tau.s) for tau in taus]
     else:
         taus = build_tau_grid(theta, 0.5, 8.0, 60)
         far = taus[-1]
+        order = truncation_order(sset.spectral_radius * far.abs_tau)
         rows = kernels.ray_linear_stat_sums(
             re, im, (far.t / far.abs_tau, far.s / far.abs_tau), [tau.abs_tau for tau in taus],
-            sset.spectral_radius, ray_order(sset, taus))
+            sset.spectral_radius, order)
     for tau, row, est in zip(taus, rows, dsff_grid(sset, taus)):
-        assert est.ray_order == ray_order(sset, taus)
+        assert est.ray_order == (None if theta is None else order)
         got = (est.k_mean, est.k_stderr, est.disconnected_unbiased, est.connected,
                est.connected_stderr)
         assert got == _per_row_reference(row, sset.n)
@@ -256,16 +291,18 @@ def test_ray_order_rejects_grids_outside_its_range():
     sset = _sset(_disk_spectra(200, 64, 13))
     rho = sset.spectral_radius
     # a phase too small for the Bessel table, an order beyond MAX_ORDER
-    assert ray_order(sset, build_tau_grid(0.2, 1e-60, 8.0, 40, "log")) is None
-    assert ray_order(sset, build_tau_grid(0.2, 1.0, 2.0 * MAX_ORDER / rho, 40, "log")) is None
-    # opposite directions are two rays; all-zero spectra need no phases
-    assert ray_order(sset, build_tau_grid(0.2, 0.5, 8.0, 40) + [ComplexTime.from_polar(1.0, 0.2 + math.pi)]) is None
-    # an order that costs more than 12 points' phase sums; tables larger than
-    # four L arrays, where the cost alone would take the ray
-    assert ray_order(sset, build_tau_grid(0.2, 0.5, 100.0, 12)) is None
-    assert ray_order(_sset(_disk_spectra(2, 256, 13)), build_tau_grid(0.2, 0.5, 100.0, 40)) is None
+    assert _ray_order(sset, build_tau_grid(0.2, 1e-60, 8.0, 40, "log")) is None
+    assert _ray_order(sset, build_tau_grid(0.2, 1.0, 2.0 * MAX_ORDER / rho, 40, "log")) is None
+    # opposite directions are two rays, and a ray of one point stays pointwise
+    ray = build_tau_grid(0.2, 0.5, 8.0, 40)
+    mix = dsff_grid(sset, ray + [ComplexTime.from_polar(1.0, 0.2 + math.pi)])
+    assert [e.ray_order for e in mix] == [_ray_order(sset, ray)] * 40 + [None]
+    # an order that costs more than 12 points' phase sums; over M=2 samples
+    # the tables outgrow the L array, and the cost rule alone still decides
+    assert _ray_order(sset, build_tau_grid(0.2, 0.5, 100.0, 12)) is None
+    assert _ray_order(_sset(_disk_spectra(2, 256, 13)), build_tau_grid(0.2, 0.5, 100.0, 40)) is not None
     zero = _sset(np.zeros((200, 64), dtype=complex))
-    assert ray_order(zero, build_tau_grid(0.2, 0.5, 8.0, 40)) is None
+    assert _ray_order(zero, build_tau_grid(0.2, 0.5, 8.0, 40)) is None
     assert [e.k_mean for e in dsff_grid(zero, build_tau_grid(0.2, 0.5, 8.0, 3))] == [1.0] * 3
 
 

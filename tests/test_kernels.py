@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dsff_lab import kernels
-from dsff_lab.bessel import truncation_order
+from dsff_lab.bessel import bessel_j_table, truncation_order
 
 
 def _random_parts(m, n, seed):
@@ -163,6 +163,33 @@ def test_moments_and_ray_sums_ignore_the_row_split(m, n):
     rows = [(re[i:i + 1], im[i:i + 1], direction) for i in range(m)]
     assert np.hstack([kernels._chebyshev_moments(*row, rho, 41) for row in rows]).tobytes() == moments.tobytes()
     assert np.hstack([kernels.ray_linear_stat_sums(*row, radii, rho, 41) for row in rows]).tobytes() == sums.tobytes()
+
+
+def _one_table_ray_sums(re, im, direction, radii, rho, order):
+    """Reference route: the ray sums from one Bessel table over every radius."""
+    moments = kernels._chebyshev_moments(re, im, direction, rho, order)
+    weights = bessel_j_table(order, rho * np.asarray(radii))
+    weights[1:] *= 2.0
+    weights[2::4] *= -1.0
+    weights[3::4] *= -1.0
+    out = np.empty((weights.shape[1], moments.shape[1]), dtype=np.complex128)
+    out.real = np.einsum("km,kp->pm", moments[0::2], weights[0::2], optimize=False)
+    out.imag = np.einsum("km,kp->pm", moments[1::2], weights[1::2], optimize=False)
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 6])
+def test_ray_sums_ignore_the_point_split(monkeypatch, m):
+    # every block of points starts its recurrence where one table over the
+    # whole ray would, so each row has that table's bytes at any block size:
+    # here one block, blocks of 6 points with a last one of 1, and blocks of 1
+    re, im, direction, radii, rho, order = _ray_inputs(0.4, 60.0, points=199, m=m)
+    whole = _one_table_ray_sums(re, im, direction, radii, rho, order)
+    assert kernels.ray_linear_stat_sums(re, im, direction, radii, rho, order).tobytes() == whole.tobytes()
+    for per_block in (6, 1):
+        # a block takes 16 * _TABLE_ELEMENTS // (K + 1) - 1 points
+        monkeypatch.setattr(kernels, "_TABLE_ELEMENTS", -(-(per_block + 1) * (order + 1) // 16))
+        assert kernels.ray_linear_stat_sums(re, im, direction, radii, rho, order).tobytes() == whole.tobytes()
 
 
 def _ray_inputs(theta, x_max, points=40, m=8, n=40, seed=5):

@@ -6,7 +6,7 @@ import pytest
 
 from dsff_lab import spectra
 from dsff_lab.ensembles import EnsembleSpec, MatrixSample
-from dsff_lab.estimator import build_tau_grid, dsff_grid, ray_order
+from dsff_lab.estimator import build_tau_grid, dsff_grid
 from dsff_lab.spectra import (
     CacheHeaderError,
     CacheLengthError,
@@ -115,7 +115,7 @@ def test_spectral_radius_is_computed_once_per_set(monkeypatch):
     monkeypatch.setattr(spectra, "np", counting)
     taus = build_tau_grid(0.4, 0.1, 8.0, 10, "log")
     dsff_grid(sset, taus)
-    ray_order(sset, taus)
+    dsff_grid(sset, taus[::2])
     assert counting.abs_calls == 1
     assert sset.spectral_radius == float(np.abs(sset.eigenvalues).max())
     assert counting.abs_calls == 1

@@ -104,7 +104,7 @@ def test_theory_does_not_touch_the_disk_grid(monkeypatch):
 
 def test_variance_frozen_values():
     v1 = dsff_theory(ComplexTime(1.5, 0.7), 1, kappa4=-1.0, beta=1).v_value
-    assert v1 == pytest.approx(1.6718727015049752, rel=1e-12, abs=0.0)
+    assert v1 == pytest.approx(1.6184605816364934, rel=1e-12, abs=0.0)
     v2 = dsff_theory(ComplexTime.from_polar(3.0, 0.4), 1, kappa4=-0.6, beta=2).v_value
     assert v2 == pytest.approx(3.0621345740392813, rel=1e-12, abs=0.0)
 

@@ -43,6 +43,7 @@ CHECKS = {
     "theory": [
         ("rotation_invariance_complex", 1e-12),
         ("reflection_invariance_real", 1e-12),
+        ("real_boundary_term_definition", 1e-12),
         ("kappa4_coefficient_dual_route", 1e-08),
         ("variance_nonnegative", 1e-12),
         ("theory_grid_matches_pointwise", 1e-12),
@@ -78,7 +79,7 @@ def test_check_names_are_pinned(report):
     assert list(SUITES) == list(CHECKS)
     for suite, checks in CHECKS.items():
         assert [c["name"] for c in report["suites"][suite]] == [name for name, _ in checks]
-    assert sum(map(len, CHECKS.values())) == 50
+    assert sum(map(len, CHECKS.values())) == 51
 
 
 def test_check_tolerances_are_pinned(report):
