@@ -16,12 +16,13 @@ for display.
 The L values come from one of two kernels. `dsff_grid` splits a grid into
 rays from the origin and sends a ray through the Chebyshev-moment route
 `kernels.ray_linear_stat_sums` when that is cheaper; every other point,
-`dsff_point` included, goes through `kernels.linear_stat_sums`. Per sample,
-a ray of P points costs (K + 1)(N + P) Chebyshev steps (K + 1 moments of a
-row dot and half a recurrence step per eigenvalue, one contraction term per
-point), the pointwise route POINT_COST steps per eigenvalue and point (one
-tangent and its half-angle identity); M cancels. The statistics below are
-whole-array numpy steps over cache-sized blocks of rows of L.
+`dsff_point` included, goes through `kernels.linear_stat_sums`. Over M
+samples, a ray of P points costs (K + 1)(M(N + P) + TABLE_COST) Chebyshev
+steps (per sample, K + 1 moments of a row dot and half a recurrence step per
+eigenvalue and one contraction term per point; per grid, the K + 1 steps of
+the Bessel table), the pointwise route POINT_COST steps per eigenvalue, point
+and sample (one tangent and its half-angle identity). The statistics below
+are whole-array numpy steps over cache-sized blocks of rows of L.
 """
 from __future__ import annotations
 
@@ -54,6 +55,12 @@ RAY_TOLERANCE = 8 * np.finfo(np.float64).eps
 # (half a recurrence step and one row dot) plus one contraction term.
 POINT_COST = 8.0
 
+# Cost of one order of the ray route's Bessel table, paid once per grid
+# whatever M is, in the same steps: about 1,700 in the median over 162 grid
+# shapes with M from 1 to 32, on the same machine. It sends grids over one
+# or a few samples to the pointwise route.
+TABLE_COST = 1700.0
+
 # Largest max |tau| * rho dsff_grid accepts: phases t*Re(lambda) + s*Im(lambda)
 # then carry a rounding error of about 1e8 * 2^-53 ~ 1e-8 rad.
 MAX_PHASE = 1e8
@@ -61,6 +68,8 @@ MAX_PHASE = 1e8
 
 @dataclass(frozen=True)
 class DsffEstimate:
+    """One grid point's statistics; with m = 1 every statistic but k_mean and contact is NaN."""
+
     tau: ComplexTime
     k_mean: float
     k_stderr: float
@@ -73,11 +82,6 @@ class DsffEstimate:
     # estimate, None if the pointwise route did; two estimates with the same
     # values compare equal whichever route gave them
     ray_order: int | None = field(default=None, compare=False)
-
-    @property
-    def decomposition_available(self):
-        """False for M = 1: variance-based fields are NaN there."""
-        return self.m >= 2
 
 
 def estimate_from_linear_stats(stats, n, tau):
@@ -155,10 +159,10 @@ def _ray_plans(sset, taus):
     A ray is every point left whose direction agrees within RAY_TOLERANCE
     with the farthest point left (the origin joins the first ray). A ray of
     P points qualifies when rho > 0, every positive r rho >= TABLE_MIN_ARGUMENT,
-    K <= MAX_ORDER and (K + 1)(N + P) < POINT_COST P N, its cost per sample
-    against the pointwise route's; one point never pays.
+    K <= MAX_ORDER and (K + 1)(M(N + P) + TABLE_COST) < POINT_COST P N M, its
+    cost against the pointwise route's; one point never pays.
     """
-    rho, n = sset.spectral_radius, sset.n
+    rho, n, m = sset.spectral_radius, sset.n, sset.m
     t, s = np.array([(tau.t, tau.s) for tau in taus]).reshape(-1, 2).T
     radii, left, plans = np.array([tau.abs_tau for tau in taus]), np.arange(len(taus)), []
     while rho > 0.0 and left.size > 1 and radii[left].max() > 0.0:
@@ -170,7 +174,7 @@ def _ray_plans(sset, taus):
         x = rho * radii[ray]
         order = truncation_order(float(x.max()))
         if (x[x > 0.0].min(initial=math.inf) >= TABLE_MIN_ARGUMENT and order <= MAX_ORDER
-                and (order + 1) * (n + ray.size) < POINT_COST * ray.size * n):
+                and (order + 1) * (m * (n + ray.size) + TABLE_COST) < POINT_COST * ray.size * n * m):
             plans.append((ray, ((c, d), radii[ray], rho, order)))
     return plans
 

@@ -1,16 +1,14 @@
-"""Quadrature rules on the unit disk, circle, chord, and quarter circle.
+"""Quadrature rules on the unit disk and the quarter circle.
 
 The disk rule is Gauss-Legendre in the radius (mapped to (0,1), Jacobian r
 included in the weights) times the equispaced periodic trapezoid rule in the
 angle. Angular nodes carry a half-step offset, theta_j = 2*pi*(j+1/2)/n: for
-periodic integrands the offset changes nothing, and with even n it makes the
-node set exactly symmetric under y -> -y and x -> -x while keeping every node
-off the real axis. quarter_row_sums relies on both: an integrand even in x
-and in y is evaluated on the columns with theta_j in (0, pi/2) only, each
-standing for its four mirror images. With n = 2 (mod 4) one column lies on
-theta = pi/2 and is its own image under x -> -x, so it stands for two
-columns; with odd n the images of a column are not grid columns, and the
-fold is refused. That one fold serves the disk route of the real-axis
+periodic integrands the offset changes nothing, and with n a multiple of 4
+it makes the node set exactly symmetric under y -> -y and x -> -x while
+keeping every node off both axes. quarter_row_sums relies on that: an
+integrand even in x and in y is evaluated on the n/4 columns with theta_j
+in (0, pi/2) only, each standing for its four mirror images, and any other
+n is refused. That one fold serves the disk route of the real-axis
 correction integral and plane_wave_row_sums, the real parts of plane waves
 whose odd parts cancel on the grid.
 
@@ -31,9 +29,6 @@ from .bessel import MAX_ORDER
 __all__ = [
     "DiskGrid",
     "disk_grid",
-    "disk_integral",
-    "boundary_average",
-    "chord_integral",
     "quarter_row_sums",
     "plane_wave_row_sums",
     "real_axis_correction_integral",
@@ -119,35 +114,6 @@ def _disk_grid(radial_nodes, angular_nodes):
     )
 
 
-def disk_integral(f, grid):
-    """integral over the unit disk of f(x, y) dx dy.
-
-    f must accept the grid's coordinate arrays (vectorized) and may return
-    complex values.
-    """
-    return grid.integrate_values(np.asarray(f(grid.x, grid.y)))
-
-
-def boundary_average(f):
-    """(1/2pi) integral of f over the unit circle by the 512-node trapezoid rule.
-
-    f takes an angle array.
-    """
-    theta = np.arange(512) * (2.0 * np.pi / 512)
-    return np.mean(np.asarray(f(theta)))
-
-
-def chord_integral(t):
-    """(1/2pi) integral_{-1}^{1} e^{itx} / sqrt(1-x^2) dx, 256-node Chebyshev-Gauss.
-
-    Equals J_0(t)/2; the imaginary part cancels exactly on the symmetric
-    Chebyshev nodes, so a real number is returned.
-    """
-    k = np.arange(1, 257)
-    x = np.cos((2 * k - 1) * np.pi / 512)
-    return float(np.mean(np.cos(_args.real(t, "t") * x))) / 2.0
-
-
 def _one_minus_cos_over_sq(u):
     # (1 - cos u)/u^2 = 0.5 * (sin(u/2)/(u/2))^2, stable at u = 0
     return 0.5 * np.sinc(u / (2.0 * np.pi)) ** 2
@@ -156,27 +122,18 @@ def _one_minus_cos_over_sq(u):
 def quarter_row_sums(grid, integrand):
     """Per-row sums over every node of the grid of an integrand even in x and in y.
 
-    integrand(x, y) is evaluated on the columns with theta_j in (0, pi/2]
-    only, the (radial_nodes, (n + 2) // 4) leading slices of grid.x and
-    grid.y, and must return an array of their shape. Each column inside
-    (0, pi/2) stands for its four mirror images and is counted four times;
-    the column on theta = pi/2 that an angular count n = 2 (mod 4) puts
-    there is its own image under x -> -x and is counted twice. With odd n
-    the images of a column are not grid columns, and the fold is refused.
+    integrand(x, y) is evaluated on the columns with theta_j in (0, pi/2)
+    only, the (radial_nodes, n // 4) leading slices of grid.x and grid.y,
+    and must return an array of their shape. Each column stands for its four
+    mirror images and is counted four times. An angular count n that is not
+    a multiple of 4 is refused.
     """
     n = grid.angular_nodes
-    if n % 2 != 0:
-        raise ValueError(
-            "the quarter-grid fold needs a grid symmetric under y->-y and "
-            f"x->-x: angular_nodes={n} is odd"
-        )
-    quarter = n // 4  # columns strictly inside (0, pi/2)
-    columns = (n + 2) // 4
-    values = integrand(grid.x[:, :columns], grid.y[:, :columns])
-    row_sums = 4.0 * values[:, :quarter].sum(axis=1)
-    if n % 4:
-        row_sums += 2.0 * values[:, quarter]
-    return row_sums
+    if n % 4 != 0:
+        raise ValueError(f"the quarter-grid fold needs a multiple of 4 angular nodes, got angular_nodes={n}")
+    quarter = n // 4
+    values = integrand(grid.x[:, :quarter], grid.y[:, :quarter])
+    return 4.0 * values.sum(axis=1)
 
 
 def _cosine(v, half_phase):
@@ -210,10 +167,10 @@ def real_axis_correction_integral(t, s, grid):
     This is the even part of e^{itx}(1 - e^{isy})/y^2; the odd parts cancel
     pairwise on a grid symmetric under x -> -x and y -> -y. The integrand is
     even in x and in y, so it is evaluated from |t| and |s| on a quarter of
-    the grid by quarter_row_sums, which refuses an odd angular node count;
-    the result is bitwise even in t and in s. (1 - cos(s y))/y^2 is taken
-    as 2 (sin(s y/2)/y)^2: no grid node has y = 0, so s = 0 gives 0
-    exactly. cos(t x) and sin(s y/2) come from the tangents of their half
+    the grid by quarter_row_sums, which refuses an angular node count that
+    is not a multiple of 4; the result is bitwise even in t and in s.
+    (1 - cos(s y))/y^2 is taken as 2 (sin(s y/2)/y)^2: no grid node has
+    y = 0, so s = 0 gives 0 exactly. cos(t x) and sin(s y/2) come from the tangents of their half
     angles, u = tan(t x/2) and v = tan(s y/4), as (1 - u^2)/(1 + u^2) and
     2 v/(1 + v^2), for the reason given in kernels.linear_stat_sums: numpy's
     float64 tan is a SIMD loop, and its cos and sin may not be.

@@ -57,10 +57,7 @@ class ComplexTime:
     """Complex time tau = t + i s, with t and s stored as finite floats.
 
     theta is the polar angle of (t, s), the angle entering the beta=1
-    boundary Fourier weights cos^2(theta k); phi is the conjugate angle with
-    sin(phi) = t/|tau|, cos(phi) = s/|tau| (so phi = pi/2 - theta), the phase
-    of the boundary Fourier modes e^{i phi k} J_k(|tau|). Both are 0 at
-    tau=0 by convention.
+    boundary Fourier weights cos^2(theta k), and 0 at tau=0 by convention.
     """
 
     t: float
@@ -84,12 +81,6 @@ class ComplexTime:
         if self.abs_tau == 0.0:
             return 0.0
         return math.atan2(self.s, self.t)
-
-    @property
-    def phi(self):
-        if self.abs_tau == 0.0:
-            return 0.0
-        return math.atan2(self.t, self.s)
 
 
 # ---------------------------------------------------------------------------

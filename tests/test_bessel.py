@@ -442,19 +442,6 @@ def test_table_argument_validation():
     assert bessel_j_table(4, [TABLE_MIN_ARGUMENT])[1, 0] == pytest.approx(TABLE_MIN_ARGUMENT / 2, rel=1e-14, abs=0.0)
 
 
-# a float64 cast would take a bool as 0 or 1 and drop an imaginary part
-@pytest.mark.parametrize(
-    "xs",
-    [[True], [1.0, False], [np.bool_(True)], np.array([True]), [1j], [2.0, 1.0 + 0j], np.array([1.0 + 0j]),
-     np.array([2.0, True], dtype=object), ["1.0"]],
-    ids=["bool", "float_and_bool", "np_bool", "bool_array", "complex", "float_and_complex", "complex_array",
-         "object_array", "str"],
-)
-def test_table_refuses_bool_and_complex_arguments(xs):
-    with pytest.raises(ValueError, match="finite nonnegative reals"):
-        bessel_j_table(2, xs)
-
-
 def test_table_takes_numpy_and_python_reals():
     want = bessel_j_table(2, np.array([0.0, 1.5, 3.0]))
     for xs in ([0, 1.5, 3], [np.int64(0), np.float32(1.5), 3.0], np.array([0, 1.5, 3], dtype=object),
