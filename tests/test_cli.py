@@ -433,6 +433,17 @@ def _fail_eigensolver(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", boom)
 
 
+def _breach_trace_identity(monkeypatch):
+    real_eigvals = np.linalg.eigvals
+
+    def shifted(entries):
+        eigs = real_eigvals(entries)
+        eigs[0] += 1e-6
+        return eigs
+
+    monkeypatch.setattr(np.linalg, "eigvals", shifted)
+
+
 def _fail_verification(monkeypatch):
     report = {"all_passed": False, "suites": {"bessel": [{"name": "probe", "passed": False}]}}
     monkeypatch.setattr(cli, "run_suites", lambda names, seconds: report)
@@ -494,12 +505,15 @@ def exit_files(tmp_path_factory):
     return files
 
 
-# Every exit code the CLI documents: 0 success, 1 eigensolver failure or
-# failed verification, 2 bad arguments, 3 cache or file trouble.
+# Every exit code the CLI documents: 0 success, 1 eigensolver failure (a
+# trace-identity breach included) or failed verification, 2 bad arguments,
+# 3 cache or file trouble.
 EXIT_CASES = [
     ("compare-ok", "compare --estimate {est} --theory {thy} --out {dir}/m.csv", 0, None, "within_3sigma"),
     ("version", "--version", 0, None, ""),
     ("eigensolver-failure", "sample --n 4 --m 1 --seed 1 --out {dir}/f.bin", 1, _fail_eigensolver, "error:"),
+    ("trace-breach", "sample --n 16 --m 2 --seed 1 --out {dir}/t.bin", 1, _breach_trace_identity,
+     "sample 0: trace residuals"),
     ("verify-failure", "verify --out {dir}/r.json", 1, _fail_verification, "1 failed"),
     ("no-subcommand", "", 2, None, "usage"),
     ("non-positive-n", "sample --n 0 --m 1 --out {dir}/x.bin", 2, None, "error:"),

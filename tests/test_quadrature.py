@@ -250,17 +250,6 @@ def test_real_axis_line_refuses_complex_arguments(t, s):
         real_axis_correction_line(t, s)
 
 
-# np.abs takes a bool as 0 or 1; ComplexTime refuses it too
-@pytest.mark.parametrize(
-    "t, s",
-    [(True, 0.7), (1.5, False), (np.bool_(True), 0.7), (np.array([True, False]), 0.7), (1.5, np.array([False]))],
-    ids=["t_bool", "s_bool", "t_np_bool", "t_bool_array", "s_bool_array"],
-)
-def test_real_axis_line_refuses_bool_arguments(t, s):
-    with pytest.raises(ValueError, match="bool"):
-        real_axis_correction_line(t, s)
-
-
 def test_real_axis_line_vanishes_at_s_zero():
     for t in (0.0, 2.7, 300.0):
         assert real_axis_correction_line(t, 0.0) == 0.0

@@ -20,7 +20,10 @@ from dsff_lab import cli, quadrature
 
 PACKAGE = dsff_lab.__path__[0]
 
-POOL = "pool path (--workers above 1): A6 and tests/test_spectra.py run it; the pass samples with one worker"
+POOL = (
+    "pool path (--workers above 1): A6 and tests/test_spectra.py run it, failure included"
+    " (test_pool_failure_raises_the_lowest_index_and_stops_the_pool); the pass samples with one worker"
+)
 UNREACHED = {
     "kernels.backend": "perfbench/bench.py reports it as the machine block's kernel_backend",
     "ensembles.EnsembleSpec.beta": "README's library example passes spec.beta to dsff_theory",
@@ -28,7 +31,6 @@ UNREACHED = {
     "spectra.EigensolverError.__init__": "error path: a sample whose eigensolve fails",
     "spectra.EigensolverError.__reduce__": "error path: carries that error out of a worker process",
     "spectra._usable_cpus": POOL,
-    "spectra._chunk_plan": POOL,
     "spectra._single_thread_blas_env": POOL,
     "spectra._solve_in_pool": POOL,
 }

@@ -1,5 +1,8 @@
+import functools
+import multiprocessing
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from dsff_lab.spectra import (
     EigensolverError,
     SpectraError,
     SpectrumSet,
-    _chunk_plan,
     eigenvalues,
     load_spectra,
     sample_spectra,
@@ -61,29 +63,67 @@ def test_eigensolver_error_pickle_round_trip():
 
 def test_sample_spectra_shape_and_determinism():
     environ = dict(os.environ)
-    a = sample_spectra(SPEC, 6, 123, parallelism=1)
-    b = sample_spectra(SPEC, 6, 123, parallelism=3)
-    assert a.eigenvalues.shape == (6, 16)
-    assert a.eigenvalues.dtype == np.complex128
-    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
-    assert a.m == 6 and a.n == 16
+    rows = sample_spectra(SPEC, 41, 123, parallelism=1).eigenvalues
+    assert rows.shape == (41, 16) and rows.dtype == np.complex128
+    # m=41 leaves a short last chunk on any CPU count; m=1 and 2 are below
+    # parallelism=3; each m's set is the first m rows of the m=41 set
+    for m in (1, 2, 5, 17, 41):
+        for parallelism in (1, 2, 3):
+            sset = sample_spectra(SPEC, m, 123, parallelism=parallelism)
+            assert sset.m == m and sset.n == 16
+            assert sset.eigenvalues.tobytes() == rows[:m].tobytes(), (m, parallelism)
     assert dict(os.environ) == environ  # the pool's BLAS pinning is undone
 
 
-def test_chunk_plan_caps_the_pool():
-    # a pure function: no process is started here
-    assert _chunk_plan(3, 10**6, 64) == [(0, 1), (1, 2), (2, 3)]
-    assert _chunk_plan(5, 10**6, 2) == [(0, 2), (2, 5)]
-    assert _chunk_plan(7, 10**6, 1) == [(0, 7)]
-    assert _chunk_plan(1, 2, 8) == [(0, 1)]
-    for m in range(1, 12):
-        for parallelism in (2, 3, 10**6):
-            plan = _chunk_plan(m, parallelism, 4)
-            assert len(plan) == min(parallelism, m, 4)
-            assert plan[0][0] == 0 and plan[-1][1] == m
-            assert all(prev[1] == nxt[0] for prev, nxt in zip(plan, plan[1:]))
-            sizes = [b - a for a, b in plan]
-            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+def test_solver_processes_caps_the_pool(monkeypatch):
+    # only counts: no process is started here
+    monkeypatch.setattr(spectra, "_usable_cpus", lambda: 4)
+    table = {  # parallelism: the count for m = 1..11
+        1: [1] * 11,
+        2: [1] + [2] * 10,
+        3: [1, 2] + [3] * 9,
+        10**6: [1, 2, 3] + [4] * 8,
+    }
+    for parallelism, counts in table.items():
+        assert [solver_processes(m, parallelism) for m in range(1, 12)] == counts
+
+
+def _marked_solve(marker_dir, i):
+    """A pool task: leaves a marker file named i, takes 0.1 s, and fails at indices 0 and 7."""
+    with open(os.path.join(marker_dir, str(i)), "x"):
+        pass
+    time.sleep(0.1)
+    if i in (0, 7):
+        raise EigensolverError(i, "planted failure")
+    return np.full(4, i, dtype=np.complex128)
+
+
+def test_pool_failure_raises_the_lowest_index_and_stops_the_pool(tmp_path):
+    out = np.zeros((40, 4), dtype=np.complex128)
+    with pytest.raises(EigensolverError) as err:
+        spectra._solve_in_pool(functools.partial(_marked_solve, str(tmp_path)), out, 2)
+    assert err.value.sample_index == 0
+    # run to the end, the pool would call every index but 1 (index 0's
+    # chunk stops at its failure); cancelled chunks leave no marker
+    assert len(list(tmp_path.iterdir())) < 20
+    assert multiprocessing.active_children() == []
+
+
+def test_trace_residual_breach_raises_with_the_sample_index(monkeypatch):
+    real_eigvals = np.linalg.eigvals
+    calls = []
+
+    def eigvals(entries):  # moves one eigenvalue of the third solve, sample 2
+        eigs = real_eigvals(entries)
+        if len(calls) == 2:
+            eigs[0] += 1e-6
+        calls.append(None)
+        return eigs
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    with pytest.raises(EigensolverError, match="sample 2: trace residuals") as err:
+        sample_spectra(SPEC, 4, 9, parallelism=1)
+    assert err.value.sample_index == 2
 
 
 def test_solver_processes():

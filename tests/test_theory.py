@@ -41,16 +41,6 @@ def test_complex_time_validation():
         ComplexTime.from_polar(-1.0, 0.0)
 
 
-@pytest.mark.parametrize(
-    "bad", ["a", 1j, None, True, np.bool_(False), [1.0]], ids=["str", "complex", "none", "bool", "np_bool", "list"]
-)
-def test_complex_time_refuses_non_real_coordinates(bad):
-    with pytest.raises(ValueError, match="real numbers"):
-        ComplexTime(bad, 0.0)
-    with pytest.raises(ValueError, match="real numbers"):
-        ComplexTime(0.0, bad)
-
-
 @pytest.mark.parametrize("good", [2, 2.0, np.int32(2), np.float32(2.0), np.float64(2.0)])
 def test_complex_time_takes_python_and_numpy_reals(good):
     assert ComplexTime(good, 0.5).abs_tau == math.hypot(2.0, 0.5)
