@@ -6,9 +6,10 @@ arguments, plus sums of the form sum_k w(k) J_k(x)^2 over all integer k.
 One route computes them for every x > 0: Miller-style downward recurrence,
 normalized with the even-order sum rule J_0(x) + 2 sum_{k>=1} J_2k(x) = 1.
 `_row_miller` runs it for one argument and `bessel_j_table` for many at
-once; both start at `_miller_start`. x = 0 is exact. Below
-TABLE_MIN_ARGUMENT, where one recurrence step would overflow, J_n(x) is its
-leading term (x/2)^n / n!, exact in double precision there.
+once; both start at `_miller_start`. Below TABLE_MIN_ARGUMENT, where one
+recurrence step would overflow, J_n(x) is its leading term (x/2)^n / n!,
+exact in double precision there and exact at x = 0: `_leading_terms` gives
+it to both.
 
 `bessel_j_columns` takes many arguments, each with its own highest order,
 and is the one place that decides between a row per argument and a table
@@ -34,7 +35,6 @@ __all__ = [
     "TABLE_MIN_ARGUMENT",
     "bessel_j",
     "bessel_j_columns",
-    "bessel_j_row",
     "bessel_j_table",
     "truncation_order",
     "weighted_bessel_series",
@@ -147,20 +147,24 @@ def _row_miller(n_max, x):
     return row / (2.0 * evens - jc)
 
 
+def _leading_terms(n_max, x):
+    """(x/2)^k / k! for 0 <= k <= n_max, one column per entry of the array x.
+
+    Below TABLE_MIN_ARGUMENT the next term of the series is (x/2)^2 < 1e-100
+    times smaller, so this is J_k(x) in double precision (and exact at
+    x = 0). Entry k is entry k - 1 times (x/2)/k, multiplied in order.
+    """
+    factors = np.empty((n_max + 1, x.size))
+    factors[0] = 1.0
+    np.divide(0.5 * x, np.arange(1.0, n_max + 1.0)[:, None], out=factors[1:])
+    return np.multiply.accumulate(factors, axis=0)
+
+
 def _row(n_max, x):
     """J_0..J_n_max(x) for a validated order and argument."""
     if x >= TABLE_MIN_ARGUMENT:
         return _row_miller(n_max, x)
-    # the leading term (x/2)^k / k!: the next one is (x/2)^2 < 1e-100 times
-    # smaller, so this is J_k(x) in double precision (and exact at x = 0)
-    row = np.zeros(n_max + 1)
-    term = 1.0
-    for k in range(n_max + 1):
-        row[k] = term
-        term *= 0.5 * x / (k + 1)
-        if term == 0.0:
-            break
-    return row
+    return _leading_terms(n_max, np.array([x]))[:, 0]
 
 
 def bessel_j(n, x):
@@ -177,23 +181,15 @@ def bessel_j(n, x):
     return sign * float(_row(n, x)[n])
 
 
-def bessel_j_row(n_max, x):
-    """Array [J_0(x), J_1(x), ..., J_n_max(x)] sharing one recurrence pass.
-
-    Within 2.3e-16 absolute of 30-digit values for 1e-3 <= x <= 40 and
-    n_max = 60.
-    """
-    return _row(_order(n_max), _args.real(x, "argument", nonnegative=True))
-
-
 def bessel_j_table(n_max, xs):
     """Array J[k, p] = J_k(xs[p]) for 0 <= k <= n_max, shape (n_max + 1, len(xs)).
 
     One downward recurrence serves every argument: it starts above n_max and
     the largest x, and each column is normalized by the even-sum rule. The
     columns agree with 30-digit values to a few 1e-16 absolute for x <= 500.
-    x = 0 gives the exact column [1, 0, ..., 0]; positive arguments must be at
-    least TABLE_MIN_ARGUMENT.
+    Every finite x >= 0 is taken: below TABLE_MIN_ARGUMENT a column is the
+    leading term (x/2)^k / k! (_leading_terms), with the bits of _row, and
+    stays out of the recurrence; x = 0 gives the exact [1, 0, ..., 0].
 
     The cost is linear in the recurrence depth times the number of
     arguments. When a column passes 1e250, only its running values (the two
@@ -204,14 +200,12 @@ def bessel_j_table(n_max, xs):
     on the running values comes near the limit.
     """
     n_max, xs = _order(n_max), _args.reals(xs, "arguments", nonnegative=True)
-    pos = np.flatnonzero(xs)
-    if pos.size and xs[pos].min() < TABLE_MIN_ARGUMENT:
-        raise ValueError(f"positive arguments must be at least {TABLE_MIN_ARGUMENT:g}")
-    table = np.zeros((n_max + 1, xs.size))
-    table[0, xs == 0.0] = 1.0
-    if pos.size == 0:
+    small = xs < TABLE_MIN_ARGUMENT
+    table = np.empty((n_max + 1, xs.size))
+    table[:, small] = _leading_terms(n_max, xs[small])
+    if small.all():
         return table
-    x = xs[pos]
+    x = xs[~small]
     rows = np.zeros((n_max + 1, x.size))
     # rescaled[j, p]: column p was rescaled at the step that stored row j
     rescaled = np.zeros((n_max + 1, x.size), dtype=bool)
@@ -257,7 +251,7 @@ def bessel_j_table(n_max, xs):
     np.cumsum(rescaled[:-2], axis=0, dtype=np.int16, out=behind[2:])
     _catch_up(rows, behind)
     norm += jc  # jc now holds unnormalized J_0
-    table[:, pos] = rows / norm
+    table[:, ~small] = rows / norm
     return table
 
 
@@ -268,13 +262,10 @@ def _table_blocks(orders, xs):
     _TABLE_ELEMENTS table entries. A block gets a table when the rows it
     replaces, each costed by its own depth _miller_start(orders[p], xs[p]),
     cost at least _TABLE_STEP_COST times the table's depth; otherwise its
-    largest argument is left for a row, as is every positive one below
-    TABLE_MIN_ARGUMENT, which a table refuses.
+    largest argument is left for a row.
     """
     x, ks = np.array(xs), np.array(orders, dtype=np.int64)
-    tiny = (x > 0.0) & (x < TABLE_MIN_ARGUMENT)
-    rows = np.flatnonzero(tiny).tolist()
-    by_x = np.flatnonzero(~tiny)[np.argsort(x[~tiny], kind="stable")]
+    by_x, rows = np.argsort(x, kind="stable"), []
     hi = by_x.size
     # done[i] - done[j]: the cost of the rows of by_x[j:i]. A row is at least
     # its order plus _MILLER_PAD deep, so these bounds serve until a block
@@ -309,7 +300,7 @@ def bessel_j_columns(orders, xs):
     in [0, MAX_ORDER] and each argument a finite real >= 0. _table_blocks
     decides which columns come from a table, with the bits of that
     bessel_j_table call and its further orders above orders[p]; the others
-    have the bits of bessel_j_row(orders[p], xs[p]) and zeros above. No row
+    have the bits of _row(orders[p], xs[p]) and zeros above. No row
     costs more than a table's depth, so fewer than _TABLE_STEP_COST
     arguments never make a table, and are not planned.
     """
@@ -334,8 +325,6 @@ def bessel_j_columns(orders, xs):
 def _weight_values(weight, k, phi):
     if weight == "abs_k":
         return k.astype(float)
-    if weight == "k_squared":
-        return k.astype(float) ** 2
     if weight == "abs_k_cos_sq":
         return k * np.cos(phi * k) ** 2
     raise ValueError(f"unknown weight {weight!r}")
@@ -345,10 +334,10 @@ def weighted_column_sums(columns, orders, weight, phi=None):
     """Per column p, sum over all integer k of w(k) J_k(x_p)^2.
 
     Column p of columns holds J_0..J_K(x_p), K = orders[p], as
-    bessel_j_columns returns them. Weights: "abs_k" -> |k|, "k_squared" ->
-    k^2, "abs_k_cos_sq" -> |k| cos^2(phi_p k), phi holding one finite angle
-    per column (theory's beta=1 series passes the polar angle theta of
-    tau). All three are even in k and vanish at k = 0, so the sum is
+    bessel_j_columns returns them. Weights: "abs_k" -> |k| and
+    "abs_k_cos_sq" -> |k| cos^2(phi_p k), phi holding one finite angle per
+    column (theory's beta=1 series passes the polar angle theta of tau).
+    Both are even in k and vanish at k = 0, so the sum is
     twice the sum over k >= 1. A run of consecutive columns (a stretch of a
     ray) is summed at once when their K share int(4 log2(max(K, 128))); each
     column then takes as many terms as the largest K of the run (past its
@@ -378,7 +367,7 @@ def weighted_bessel_series(x, weight, phi=None):
     Its one column is J_0..J_K(x) from bessel_j_columns, K = truncation_order(x);
     phi, which "abs_k_cos_sq" requires, is one finite real. Past the turning
     point J_k^2 decays super-exponentially, and |k|-type weights grow at most
-    quadratically, so the dropped tail is below 1e-29.
+    linearly, so the dropped tail is below 1e-29.
     """
     x = _args.real(x, "argument", nonnegative=True)
     order = truncation_order(x)

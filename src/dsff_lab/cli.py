@@ -38,7 +38,7 @@ from .spectra import (
     save_spectra,
     solver_processes,
 )
-from .svgplot import PALETTE, render_loglog
+from .svgplot import render_loglog
 from .theory import dsff_theory_grid, ginibre_exact_dsff_grid, timescales
 
 # Unused here: perfbench/tracing.py wraps these two names on this module and
@@ -335,24 +335,8 @@ def _cmd_compare(args):
             est_y = [er["k_mean"] for er in est_rows]
             title, ylabel = "dissipative spectral form factor", "K"
         abs_taus = [er["abs_tau"] for er in est_rows]  # grids already matched
-        series = [
-            {
-                "label": "prediction",
-                "color": PALETTE[0],
-                "kind": "line",
-                "x": abs_taus,
-                "y": thy_y,
-            },
-            {
-                "label": "estimate",
-                "color": PALETTE[1],
-                "kind": "points",
-                "x": abs_taus,
-                "y": est_y,
-                "yerr": [er["k_stderr"] for er in est_rows],
-            },
-        ]
-        render_loglog(args.svg, series, title=title, xlabel="|tau|", ylabel=ylabel)
+        stderr = [er["k_stderr"] for er in est_rows]
+        render_loglog(args.svg, abs_taus, thy_y, est_y, stderr, title, ylabel)
     return 0
 
 

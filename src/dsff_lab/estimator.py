@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _args, kernels
-from .bessel import MAX_ORDER, TABLE_MIN_ARGUMENT, truncation_order
+from .bessel import MAX_ORDER, truncation_order
 from .theory import ComplexTime, _complex_times
 
 __all__ = [
@@ -158,9 +158,9 @@ def _ray_plans(sset, taus):
 
     A ray is every point left whose direction agrees within RAY_TOLERANCE
     with the farthest point left (the origin joins the first ray). A ray of
-    P points qualifies when rho > 0, every positive r rho >= TABLE_MIN_ARGUMENT,
-    K <= MAX_ORDER and (K + 1)(M(N + P) + TABLE_COST) < POINT_COST P N M, its
-    cost against the pointwise route's; one point never pays.
+    P points qualifies when rho > 0, K <= MAX_ORDER and
+    (K + 1)(M(N + P) + TABLE_COST) < POINT_COST P N M, its cost against the
+    pointwise route's; one point never pays.
     """
     rho, n, m = sset.spectral_radius, sset.n, sset.m
     t, s = np.array([(tau.t, tau.s) for tau in taus]).reshape(-1, 2).T
@@ -173,8 +173,7 @@ def _ray_plans(sset, taus):
         ray, left = left[on], left[~on]
         x = rho * radii[ray]
         order = truncation_order(float(x.max()))
-        if (x[x > 0.0].min(initial=math.inf) >= TABLE_MIN_ARGUMENT and order <= MAX_ORDER
-                and (order + 1) * (m * (n + ray.size) + TABLE_COST) < POINT_COST * ray.size * n * m):
+        if order <= MAX_ORDER and (order + 1) * (m * (n + ray.size) + TABLE_COST) < POINT_COST * ray.size * n * m:
             plans.append((ray, ((c, d), radii[ray], rho, order)))
     return plans
 

@@ -43,7 +43,7 @@ ensures.
 """
 import numpy as np
 
-from .bessel import _TABLE_ELEMENTS, bessel_j_table
+from .bessel import bessel_j_table
 
 __all__ = ["linear_stat_sums", "ray_linear_stat_sums", "backend"]
 
@@ -52,6 +52,12 @@ __all__ = ["linear_stat_sums", "ray_linear_stat_sums", "backend"]
 # row's sums do not depend on the blocking, so neither do the bytes, as long
 # as a row longer than einsum's 8,192-element buffer gets a block of its own.
 _BLOCK_ELEMENTS = 1 << 14
+
+# Most Bessel-table entries, orders times points, that one block of a ray
+# takes (8 MiB of float64): smaller blocks pay numpy's call cost at every
+# recurrence step (K = 588: blocks of 2^16 entries took 2.6 times one
+# 1,000-point table).
+_RAY_TABLE_ELEMENTS = 1 << 20
 
 
 def linear_stat_sums(re, im, t, s):
@@ -134,12 +140,10 @@ def ray_linear_stat_sums(re, im, direction, radii, rho, order):
     J_0..J_K(X): even k give Re L, odd k give Im L. Truncating at K costs
     about sum_{k>K} |J_k(X)| per eigenvalue. No step uses BLAS.
 
-    The Bessel table goes by blocks of points of 16 bessel tables (8 MiB),
+    The Bessel table goes by blocks of points of _RAY_TABLE_ELEMENTS entries,
     each with the ray's largest argument as one more column, so every block's
     recurrence starts where one table over the ray would and, as
-    bessel_j_table scales each column on its own, keeps its bits. Smaller
-    blocks pay numpy's call cost at every step (K = 588: 110 points a block
-    took 2.6 times one 1,000-point table).
+    bessel_j_table scales each column on its own, keeps its bits.
 
     re, im: (m, n) float64 arrays (views are fine). Returns a
     (len(radii), m) complex128 array whose row p holds the m sums at radius
@@ -148,7 +152,7 @@ def ray_linear_stat_sums(re, im, direction, radii, rho, order):
     moments = _chebyshev_moments(re, im, direction, rho, order)
     x = rho * np.asarray(radii, dtype=np.float64)
     out = np.empty((x.size, moments.shape[1]), dtype=np.complex128)
-    points = max(1, 16 * _TABLE_ELEMENTS // (order + 1) - 1)
+    points = max(1, _RAY_TABLE_ELEMENTS // (order + 1) - 1)
     for a in range(0, x.size, points):
         weights = bessel_j_table(order, np.append(x[a:a + points], x.max()))[:, :-1]
         weights[1:] *= 2.0

@@ -9,8 +9,8 @@ keeping every node off both axes. quarter_row_sums relies on that: an
 integrand even in x and in y is evaluated on the n/4 columns with theta_j
 in (0, pi/2) only, each standing for its four mirror images, and any other
 n is refused. That one fold serves the disk route of the real-axis
-correction integral and plane_wave_row_sums, the real parts of plane waves
-whose odd parts cancel on the grid.
+correction integral, and verify's sums of plane waves, whose odd parts
+cancel on the grid.
 
 The line route of the same integral does the x integral in closed form and
 leaves one smooth angular integral on (0, pi/2), which a composite
@@ -30,9 +30,7 @@ __all__ = [
     "DiskGrid",
     "disk_grid",
     "quarter_row_sums",
-    "plane_wave_row_sums",
     "real_axis_correction_integral",
-    "quarter_circle_rule",
     "real_axis_correction_line",
 ]
 
@@ -65,22 +63,14 @@ class DiskGrid:
     radial_nodes: int
     angular_nodes: int
     r: np.ndarray = field(repr=False)
-    theta: np.ndarray = field(repr=False)
     radial_weights: np.ndarray = field(repr=False)
     angular_weight: float = field(repr=False)
     x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
 
-    @property
-    def weight_sum(self):
-        return self.angular_weight * self.angular_nodes * float(self.radial_weights.sum())
-
     def integrate_rows(self, row_sums):
         """The integral from the (radial_nodes,) sums over each radial row."""
         return self.angular_weight * (self.radial_weights * row_sums).sum()
-
-    def integrate_values(self, values):
-        return self.integrate_rows(values.sum(axis=1))
 
 
 def disk_grid(radial_nodes, angular_nodes):
@@ -100,13 +90,12 @@ def _disk_grid(radial_nodes, angular_nodes):
     theta = (np.arange(angular_nodes) + 0.5) * (2.0 * np.pi / angular_nodes)
     x = r[:, None] * np.cos(theta)[None, :]
     y = r[:, None] * np.sin(theta)[None, :]
-    for array in (r, theta, radial_weights, x, y):
+    for array in (r, radial_weights, x, y):
         array.flags.writeable = False
     return DiskGrid(
         radial_nodes=radial_nodes,
         angular_nodes=angular_nodes,
         r=r,
-        theta=theta,
         radial_weights=radial_weights,
         angular_weight=2.0 * np.pi / angular_nodes,
         x=x,
@@ -147,20 +136,6 @@ def _cosine(v, half_phase):
     return u
 
 
-def plane_wave_row_sums(grid, t, s):
-    """Per-row sums over every node of the grid of Re e^{i(t x + s y)}.
-
-    Re e^{i(t x + s y)} = cos(t x) cos(s y) - sin(t x) sin(s y), and the
-    second term is odd in x, so on the symmetric grid the sums are those of
-    cos(t x) cos(s y), which quarter_row_sums folds. The two cosines come
-    from |t| and |s| through half-angle tangents, as in
-    real_axis_correction_integral. grid.integrate_rows of the result is the
-    real part of the disk integral of the plane wave.
-    """
-    half_t, half_s = 0.5 * abs(_args.real(t, "t")), 0.5 * abs(_args.real(s, "s"))
-    return quarter_row_sums(grid, lambda x, y: _cosine(x, half_t) * _cosine(y, half_s))
-
-
 def real_axis_correction_integral(t, s, grid):
     """(1/4pi) integral over the disk of cos(t x) (1 - cos(s y)) / y^2.
 
@@ -192,18 +167,14 @@ def real_axis_correction_integral(t, s, grid):
     return float(grid.integrate_rows(quarter_row_sums(grid, integrand))) * (2.0 / np.pi)
 
 
-def quarter_circle_rule(panels):
+@functools.cache
+def _quarter_circle_rule(panels):
     """(cos phi, sin phi, weights) of the composite Gauss-Legendre rule on (0, pi/2).
 
     The interval is cut into `panels` equal panels of LINE_PANEL_NODES nodes
     each. Built once per process per panel count, so the arrays are
     read-only.
     """
-    return _quarter_circle_rule(_args.count(panels, "panels"))
-
-
-@functools.cache
-def _quarter_circle_rule(panels):
     nodes, weights = np.polynomial.legendre.leggauss(LINE_PANEL_NODES)
     half_width = 0.25 * np.pi / panels
     centers = (2 * np.arange(panels) + 1) * half_width
@@ -224,19 +195,16 @@ def real_axis_correction_line(t, s):
         I(t, s) = (1/pi) int_0^{pi/2} [sin(t cos phi)/t]
                   (1 - cos(s sin phi))/sin^2 phi  cos phi dphi,
 
-    taken by quarter_circle_rule. sin(t c)/t = c np.sinc(t c/pi) and
+    taken by _quarter_circle_rule. sin(t c)/t = c np.sinc(t c/pi) and
     (1 - cos u)/u^2 go through np.sinc, so t = 0 and s = 0 are exact, and
     I is computed from |t| and |s|, which makes it bitwise even in both.
     Equals real_axis_correction_integral(t, s, grid) up to the grid's error.
 
-    t and s are finite reals or 1-D arrays of them, broadcast together, with
-    |t| + |s| at most LINE_MAX_PHASE.
-    The result holds I at each (t, s), the points of one panel count taken
-    at once; a call with two scalars is this route at one point and returns
-    a float.
+    t and s are 1-D arrays of finite reals, broadcast together, with
+    |t| + |s| at most LINE_MAX_PHASE. The result holds I at each (t, s),
+    the points of one panel count taken at once.
     """
-    scalar = np.ndim(t) == np.ndim(s) == 0
-    t, s = np.broadcast_arrays(*(np.abs(_args.reals(v if np.ndim(v) else [v], "t and s")) for v in (t, s)))
+    t, s = np.broadcast_arrays(*(np.abs(_args.reals(v, "t and s")) for v in (t, s)))
     phase = t + s
     if (phase > LINE_MAX_PHASE).any():
         raise ValueError(f"t and s must have |t| + |s| at most {LINE_MAX_PHASE:g}, got {float(phase.max())!r}")
@@ -245,12 +213,12 @@ def real_axis_correction_line(t, s):
     for count in set(panels.ravel().tolist()):
         pick = panels == count
         out[pick] = _line_rule(t[pick, None], s[pick, None], count)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _line_rule(t, s, panels):
     """real_axis_correction_line's angular integral at (P, 1) arrays |t|, |s|, one sum per row."""
-    cos_phi, sin_phi, weights = quarter_circle_rule(panels)
+    cos_phi, sin_phi, weights = _quarter_circle_rule(panels)
     chord = cos_phi * np.sinc(t * cos_phi / np.pi)
     integrand = chord * (s * s) * _one_minus_cos_over_sq(s * sin_phi) * cos_phi
     return np.sum(weights * integrand, axis=-1) / np.pi

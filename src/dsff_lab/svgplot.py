@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["render_loglog", "PALETTE"]
+__all__ = ["render_loglog"]
 
-PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
+# (label, color) of the two series, in drawing and legend order
+_PREDICTION = ("prediction", "#1f77b4")
+_ESTIMATE = ("estimate", "#d62728")
 
 _W, _H = 960.0, 600.0
 _ML, _MR, _MT, _MB = 78.0, 24.0, 46.0, 58.0
@@ -23,11 +25,11 @@ def _finite_positive(xs, ys):
     ]
 
 
-def _bounds(series):
+def _bounds(curves):
     lo_x = lo_y = math.inf
     hi_x = hi_y = -math.inf
-    for s in series:
-        for x, y in _finite_positive(s["x"], s["y"]):
+    for pts in curves:
+        for x, y in pts:
             lo_x, hi_x = min(lo_x, x), max(hi_x, x)
             lo_y, hi_y = min(lo_y, y), max(hi_y, y)
     if not (lo_x < hi_x):
@@ -46,14 +48,15 @@ def _fmt_pow(exp):
     return f"1e{exp:d}"
 
 
-def render_loglog(path, series, title="", xlabel="", ylabel=""):
-    """Write a log-log SVG chart.
+def render_loglog(path, xs, prediction, estimate, stderr, title, ylabel):
+    """Write compare's log-log SVG chart against |tau|.
 
-    series: list of dicts with keys label, color, kind ("points" or "line"),
-    x, y, and optional yerr. Nonpositive or nonfinite values are dropped
-    (log axes); error bars are clipped at the plot floor.
+    The prediction is a line and the estimate points with error bars of
+    stderr. Nonpositive or nonfinite values are dropped (log axes); error
+    bars are clipped at the plot floor.
     """
-    lx0, lx1, ly0, ly1 = _bounds(series)
+    line, points = _finite_positive(xs, prediction), _finite_positive(xs, estimate)
+    lx0, lx1, ly0, ly1 = _bounds((line, points))
     iw, ih = _W - _ML - _MR, _H - _MT - _MB
 
     def px(x):
@@ -68,11 +71,10 @@ def render_loglog(path, series, title="", xlabel="", ylabel=""):
         f'viewBox="0 0 {_W:.0f} {_H:.0f}" font-family="Helvetica,Arial,sans-serif">'
     )
     out.append(f'<rect width="{_W:.0f}" height="{_H:.0f}" fill="#ffffff"/>')
-    if title:
-        out.append(
-            f'<text x="{_W/2:.1f}" y="28" text-anchor="middle" font-size="17" '
-            f'fill="#111111">{title}</text>'
-        )
+    out.append(
+        f'<text x="{_W/2:.1f}" y="28" text-anchor="middle" font-size="17" '
+        f'fill="#111111">{title}</text>'
+    )
     # frame
     out.append(
         f'<rect x="{_ML:.1f}" y="{_MT:.1f}" width="{iw:.1f}" height="{ih:.1f}" '
@@ -99,60 +101,52 @@ def render_loglog(path, series, title="", xlabel="", ylabel=""):
             f'<text x="{_ML-8:.1f}" y="{y+4:.2f}" text-anchor="end" '
             f'font-size="12" fill="#333333">{_fmt_pow(exp)}</text>'
         )
-    if xlabel:
-        out.append(
-            f'<text x="{_ML+iw/2:.1f}" y="{_H-14:.1f}" text-anchor="middle" '
-            f'font-size="14" fill="#111111">{xlabel}</text>'
-        )
-    if ylabel:
-        out.append(
-            f'<text x="20" y="{_MT+ih/2:.1f}" text-anchor="middle" font-size="14" '
-            f'fill="#111111" transform="rotate(-90 20 {_MT+ih/2:.1f})">{ylabel}</text>'
-        )
+    out.append(
+        f'<text x="{_ML+iw/2:.1f}" y="{_H-14:.1f}" text-anchor="middle" '
+        f'font-size="14" fill="#111111">|tau|</text>'
+    )
+    out.append(
+        f'<text x="20" y="{_MT+ih/2:.1f}" text-anchor="middle" font-size="14" '
+        f'fill="#111111" transform="rotate(-90 20 {_MT+ih/2:.1f})">{ylabel}</text>'
+    )
     floor_y = _MT + ih
-    for s in series:
-        color = s["color"]
-        pts = _finite_positive(s["x"], s["y"])
-        if s.get("kind", "line") == "line":
-            coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+    coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in line)
+    out.append(
+        f'<polyline points="{coords}" fill="none" stroke="{_PREDICTION[1]}" '
+        f'stroke-width="1.8"/>'
+    )
+    color = _ESTIMATE[1]
+    for x, y in points:
+        out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
+    for x, y, e in zip(xs, estimate, stderr):
+        if not (x > 0 and y > 0 and math.isfinite(x) and math.isfinite(y)):
+            continue
+        if not (math.isfinite(e) and e > 0):
+            continue
+        cx = px(x)
+        y_hi = py(y + e)
+        y_lo = py(y - e) if y - e > 0 else floor_y
+        y_lo = min(y_lo, floor_y)
+        out.append(
+            f'<line x1="{cx:.2f}" y1="{y_hi:.2f}" x2="{cx:.2f}" '
+            f'y2="{y_lo:.2f}" stroke="{color}" stroke-width="1"/>'
+        )
+        for yy in (y_hi, y_lo):
             out.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                f'stroke-width="1.8"/>'
+                f'<line x1="{cx-3:.2f}" y1="{yy:.2f}" x2="{cx+3:.2f}" '
+                f'y2="{yy:.2f}" stroke="{color}" stroke-width="1"/>'
             )
-        else:
-            yerr = s.get("yerr")
-            for x, y in pts:
-                out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
-            if yerr is not None:
-                for x, y, e in zip(s["x"], s["y"], yerr):
-                    if not (x > 0 and y > 0 and math.isfinite(x) and math.isfinite(y)):
-                        continue
-                    if not (e is not None and math.isfinite(e) and e > 0):
-                        continue
-                    cx = px(x)
-                    y_hi = py(y + e)
-                    y_lo = py(y - e) if y - e > 0 else floor_y
-                    y_lo = min(y_lo, floor_y)
-                    out.append(
-                        f'<line x1="{cx:.2f}" y1="{y_hi:.2f}" x2="{cx:.2f}" '
-                        f'y2="{y_lo:.2f}" stroke="{color}" stroke-width="1"/>'
-                    )
-                    for yy in (y_hi, y_lo):
-                        out.append(
-                            f'<line x1="{cx-3:.2f}" y1="{yy:.2f}" x2="{cx+3:.2f}" '
-                            f'y2="{yy:.2f}" stroke="{color}" stroke-width="1"/>'
-                        )
     # legend, top-right inside the frame
     ly = _MT + 16
-    for s in series:
+    for label, color in (_PREDICTION, _ESTIMATE):
         lx = _ML + iw - 230
         out.append(
             f'<line x1="{lx:.1f}" y1="{ly-4:.1f}" x2="{lx+26:.1f}" y2="{ly-4:.1f}" '
-            f'stroke="{s["color"]}" stroke-width="2.5"/>'
+            f'stroke="{color}" stroke-width="2.5"/>'
         )
         out.append(
             f'<text x="{lx+34:.1f}" y="{ly:.1f}" font-size="13" '
-            f'fill="#111111">{s["label"]}</text>'
+            f'fill="#111111">{label}</text>'
         )
         ly += 20
     out.append("</svg>")

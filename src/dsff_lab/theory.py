@@ -227,8 +227,8 @@ def dsff_theory_grid(taus, n, kappa4=0.0, beta=2):
     One bessel_j_columns call gives J_0..J_K(|tau_p|), K the truncation
     order of |tau_p|, and at beta=1 also J_0(|t_p|) and J_1(2|s_p|); it
     decides which columns share a table. A one-point grid has at most three
-    columns, too few to pay for a table, so it takes the rows of
-    bessel_j_row. The terms are then computed for all points at once, the
+    columns, too few to pay for a table, so it takes one row per column.
+    The terms are then computed for all points at once, the
     real-axis integral included.
     """
     n, beta = _args.count(n, "n"), _args.count(beta, "beta", 1, 2, "2")

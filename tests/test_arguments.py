@@ -18,20 +18,13 @@ from dsff_lab.bessel import (
     MAX_ORDER,
     bessel_j,
     bessel_j_columns,
-    bessel_j_row,
     bessel_j_table,
     weighted_bessel_series,
     weighted_column_sums,
 )
 from dsff_lab.ensembles import EnsembleSpec, sample_matrix
 from dsff_lab.estimator import build_tau_grid, dsff_grid, dsff_point, estimate_from_linear_stats
-from dsff_lab.quadrature import (
-    disk_grid,
-    plane_wave_row_sums,
-    quarter_circle_rule,
-    real_axis_correction_integral,
-    real_axis_correction_line,
-)
+from dsff_lab.quadrature import disk_grid, real_axis_correction_integral, real_axis_correction_line
 from dsff_lab.spectra import SpectrumSet, sample_spectra, save_spectra, solver_processes
 from dsff_lab.theory import (
     ComplexTime,
@@ -111,9 +104,10 @@ BAD_REALS = {
 # a real that is one element of a list, and an optional real (None is no value)
 BAD_REAL_ITEM = {k: v for k, v in BAD_REAL.items() if k != "list"}
 BAD_PHI = {k: v for k, v in BAD_REAL.items() if k != "none"}
-# the real-axis line takes a real or a 1-D array of reals for each of t and s
-BAD_REAL_OR_REALS = {
-    **BAD_REAL_ITEM,
+# the real-axis line takes a 1-D array of reals for each of t and s: each bad
+# real goes in as a one-element array
+BAD_LINE_REALS = {
+    **{key: ([value], kind) for key, (value, kind) in BAD_REAL_ITEM.items()},
     **{f"array_{k}": v for k, v in BAD_REALS.items()},
     "bool_pair": (np.array([True, False]), "bool"),
     "false_array": (np.array([False]), "bool"),
@@ -121,8 +115,8 @@ BAD_REAL_OR_REALS = {
 # (t, s) pairs past the line rule's reach, whose panel count no int64 holds or
 # whose nodes no memory does
 BAD_LINE_REACH = {
-    "reach_1e300": ((1e300, 1.0), "at most"),
-    "reach_1e12": ((1e12, 0.0), "at most"),
+    "reach_1e300": (([1e300], [1.0]), "at most"),
+    "reach_1e12": (([1e12], [0.0]), "at most"),
 }
 
 SPEC = EnsembleSpec("real", "gaussian", 4)
@@ -134,8 +128,6 @@ GRID = disk_grid(8, 8)
 ROWS = [
     ("bessel_j", "n", lambda v: bessel_j(v, 2.0), BAD_SIGNED_ORDER, "order"),
     ("bessel_j", "x", lambda v: bessel_j(0, v), BAD_REAL, "argument"),
-    ("bessel_j_row", "n_max", lambda v: bessel_j_row(v, 2.0), BAD_ORDER, "order"),
-    ("bessel_j_row", "x", lambda v: bessel_j_row(3, v), BAD_REAL, "argument"),
     ("bessel_j_table", "n_max", lambda v: bessel_j_table(v, [2.0]), BAD_ORDER, "order"),
     ("bessel_j_table", "xs", lambda v: bessel_j_table(2, v), BAD_REALS,
      "arguments must hold finite nonnegative reals"),
@@ -165,17 +157,14 @@ ROWS = [
     ("timescales", "n", lambda v: timescales(v), BAD_COUNT, "n must"),
     ("disk_grid", "radial_nodes", lambda v: disk_grid(v, 8), BAD_COUNT, "radial_nodes"),
     ("disk_grid", "angular_nodes", lambda v: disk_grid(8, v), BAD_COUNT, "angular_nodes"),
-    ("quarter_circle_rule", "panels", lambda v: quarter_circle_rule(v), BAD_COUNT, "panels"),
-    ("plane_wave_row_sums", "t", lambda v: plane_wave_row_sums(GRID, v, 1.0), BAD_REAL, "t must"),
-    ("plane_wave_row_sums", "s", lambda v: plane_wave_row_sums(GRID, 1.0, v), BAD_REAL, "s must"),
     ("real_axis_correction_integral", "t",
      lambda v: real_axis_correction_integral(v, 1.0, GRID), BAD_REAL, "t must"),
     ("real_axis_correction_integral", "s",
      lambda v: real_axis_correction_integral(1.0, v, GRID), BAD_REAL, "s must"),
     ("real_axis_correction_line", "t",
-     lambda v: real_axis_correction_line(v, 0.7), BAD_REAL_OR_REALS, "t and s"),
+     lambda v: real_axis_correction_line(v, [0.7]), BAD_LINE_REALS, "t and s"),
     ("real_axis_correction_line", "s",
-     lambda v: real_axis_correction_line(1.5, v), BAD_REAL_OR_REALS, "t and s"),
+     lambda v: real_axis_correction_line([1.5], v), BAD_LINE_REALS, "t and s"),
     ("real_axis_correction_line", "t",
      lambda ts: real_axis_correction_line(*ts), BAD_LINE_REACH, "t and s"),
     ("EnsembleSpec", "n", lambda v: EnsembleSpec("real", "gaussian", v), BAD_COUNT, "n must"),
@@ -274,7 +263,6 @@ def test_numpy_numbers_are_accepted_as_python_numbers():
         0.3, float(np.float32(0.5)), 2.0, 3
     )
     assert disk_grid(np.int64(8), np.uint8(8)) is GRID
-    assert quarter_circle_rule(np.int32(1)) is quarter_circle_rule(1)
     assert solver_processes(np.int64(3), np.int64(1)) == 1
     sample = sample_matrix(SPEC, np.uint64(3), np.int64(1))
     assert (type(sample.master_seed), type(sample.sample_index)) == (int, int)

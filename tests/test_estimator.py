@@ -288,8 +288,13 @@ def test_grid_rows_match_the_per_row_reference_bytes(theta):
 def test_ray_order_rejects_grids_outside_its_range():
     sset = _sset(_disk_spectra(200, 64, 13))
     rho = sset.spectral_radius
-    # a phase too small for the Bessel table, an order beyond MAX_ORDER
-    assert _ray_order(sset, build_tau_grid(0.2, 1e-60, 8.0, 40, "log")) is None
+    # phases below TABLE_MIN_ARGUMENT take the ray route, whose table gives
+    # them the leading term; an order beyond MAX_ORDER stays pointwise
+    tiny = build_tau_grid(0.2, 1e-60, 8.0, 40, "log")
+    estimates = dsff_grid(sset, tiny)
+    assert {est.ray_order for est in estimates} == {truncation_order(8.0 * rho)}
+    for tau, est in zip(tiny, estimates):
+        assert est.k_mean == pytest.approx(dsff_point(sset, tau).k_mean, rel=1e-12, abs=0.0)
     assert _ray_order(sset, build_tau_grid(0.2, 1.0, 2.0 * MAX_ORDER / rho, 40, "log")) is None
     # opposite directions are two rays, and a ray of one point stays pointwise
     ray = build_tau_grid(0.2, 0.5, 8.0, 40)

@@ -187,8 +187,8 @@ def test_ray_sums_ignore_the_point_split(monkeypatch, m):
     whole = _one_table_ray_sums(re, im, direction, radii, rho, order)
     assert kernels.ray_linear_stat_sums(re, im, direction, radii, rho, order).tobytes() == whole.tobytes()
     for per_block in (6, 1):
-        # a block takes 16 * _TABLE_ELEMENTS // (K + 1) - 1 points
-        monkeypatch.setattr(kernels, "_TABLE_ELEMENTS", -(-(per_block + 1) * (order + 1) // 16))
+        # a block takes _RAY_TABLE_ELEMENTS // (K + 1) - 1 points
+        monkeypatch.setattr(kernels, "_RAY_TABLE_ELEMENTS", (per_block + 1) * (order + 1))
         assert kernels.ray_linear_stat_sums(re, im, direction, radii, rho, order).tobytes() == whole.tobytes()
 
 

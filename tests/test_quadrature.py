@@ -7,14 +7,19 @@ from dsff_lab.bessel import bessel_j
 from dsff_lab.kernels import linear_stat_sums
 from dsff_lab.quadrature import (
     LINE_PANEL_PHASE,
+    _quarter_circle_rule,
     disk_grid,
-    plane_wave_row_sums,
-    quarter_circle_rule,
     quarter_row_sums,
     real_axis_correction_integral,
     real_axis_correction_line,
 )
-from dsff_lab.verify import _boundary_average, _chord_integral
+from dsff_lab.verify import (
+    _boundary_average,
+    _chord_integral,
+    _integrate_values,
+    _plane_wave_row_sums,
+    _weight_sum,
+)
 
 
 @pytest.fixture(scope="module")
@@ -23,32 +28,34 @@ def grid():
 
 
 def test_weight_sum_is_disk_area(grid):
-    assert grid.weight_sum == pytest.approx(math.pi, abs=1e-13)
+    assert _weight_sum(grid) == pytest.approx(math.pi, abs=1e-13)
 
 
 def test_constant_and_radial_moments(grid):
-    assert grid.integrate_values(np.ones_like(grid.x)) == pytest.approx(math.pi, abs=1e-12)
+    assert _integrate_values(grid, np.ones_like(grid.x)) == pytest.approx(math.pi, abs=1e-12)
     # int r^2 dA = pi/2
-    assert grid.integrate_values(grid.x**2 + grid.y**2) == pytest.approx(math.pi / 2.0, abs=1e-12)
+    assert _integrate_values(grid, grid.x**2 + grid.y**2) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
 def test_plane_wave_integral(grid):
     # int e^{i(tx+sy)} dA = 2 pi J_1(|tau|)/|tau|
     t, s = 3.0, 4.0
-    val = grid.integrate_values(np.exp(1j * (t * grid.x + s * grid.y)))
+    val = _integrate_values(grid, np.exp(1j * (t * grid.x + s * grid.y)))
     want = 2.0 * math.pi * bessel_j(1, 5.0) / 5.0
     assert val.real == pytest.approx(want, abs=1e-12)
     assert abs(val.imag) < 1e-12
 
 
 def test_node_symmetry(grid):
-    # even angular count with half-offset: angles pair off under both
-    # reflections, and no node sits on the real axis
+    # even angular count with half-offset: nodes pair off under both
+    # reflections (y -> -y takes column j to n - 1 - j, x -> -x to
+    # n/2 - 1 - j), and no node sits on the real axis
     n = grid.angular_nodes
-    th = grid.theta
-    assert np.allclose(th[: n // 2] + th[n // 2 - 1 :: -1], math.pi, atol=1e-12)
-    assert np.allclose(th + th[::-1], 2.0 * math.pi, atol=1e-12)
-    assert np.min(np.abs(np.sin(th))) > 1e-3
+    x, y = grid.x / grid.r[:, None], grid.y / grid.r[:, None]
+    mirror = (n // 2 - 1 - np.arange(n)) % n
+    assert np.allclose(x[:, ::-1], x, atol=1e-12) and np.allclose(y[:, ::-1], -y, atol=1e-12)
+    assert np.allclose(x[:, mirror], -x, atol=1e-12) and np.allclose(y[:, mirror], y, atol=1e-12)
+    assert np.min(np.abs(y)) > 1e-3
 
 
 def test_disk_grid_is_shared_and_read_only(grid):
@@ -135,7 +142,7 @@ def test_real_axis_rejects_odd_angular_count():
 def test_integrate_values_matches_disk_integral(grid):
     # cos(x) e^y is harmonic, so its disk integral is pi f(0, 0) = pi
     f = lambda x, y: np.cos(x) * np.exp(y)
-    assert grid.integrate_values(f(grid.x, grid.y)) == pytest.approx(math.pi, abs=1e-12)
+    assert _integrate_values(grid, f(grid.x, grid.y)) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_plane_wave_from_row_sums_matches_full_grid(grid):
@@ -147,8 +154,8 @@ def test_plane_wave_from_row_sums_matches_full_grid(grid):
     for t, s in [(0.0, 0.0), (9.5, 0.0), *rng.uniform(-20.0, 20.0, (10, 2))]:
         wave = np.exp(1j * (t * grid.x + s * grid.y))
         row_sums = linear_stat_sums(grid.x, grid.y, t, s)
-        assert abs(grid.integrate_rows(row_sums) - grid.integrate_values(wave)) <= 1e-15
-        weighted = grid.integrate_values(wave * (2.0 * (grid.x**2 + grid.y**2) - 1.0))
+        assert abs(grid.integrate_rows(row_sums) - _integrate_values(grid, wave)) <= 1e-15
+        weighted = _integrate_values(grid, wave * (2.0 * (grid.x**2 + grid.y**2) - 1.0))
         assert abs(grid.integrate_rows(radial * row_sums) - weighted) <= 1e-15
 
 
@@ -164,13 +171,13 @@ def test_plane_wave_quarter_row_sums_match_kernel(radial, angular):
     points = [(0.0, 0.0), (9.5, 0.0), (-4.0, 0.0), *rng.uniform(-20.0, 20.0, (10, 2))]
     for t, s in points:
         want = grid.integrate_rows(linear_stat_sums(grid.x, grid.y, t, s)).real
-        assert abs(grid.integrate_rows(plane_wave_row_sums(grid, t, s)) - want) <= 1e-14
+        assert abs(grid.integrate_rows(_plane_wave_row_sums(grid, t, s)) - want) <= 1e-14
 
 
 def test_plane_wave_row_sums_reject_odd_angular_count():
     for angular in (65, 130):
         with pytest.raises(ValueError, match="angular_nodes"):
-            plane_wave_row_sums(disk_grid(32, angular), 1.0, 1.0)
+            _plane_wave_row_sums(disk_grid(32, angular), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("angular", [512])
@@ -185,7 +192,7 @@ def test_quarter_row_sums_match_every_node(angular):
 def _real_axis_full_grid(t, s, grid):
     # the even integrand summed over every node, (1 - cos u)/u^2 through sinc
     integrand = np.cos(t * grid.x) * (s * s) * 0.5 * np.sinc(s * grid.y / (2.0 * np.pi)) ** 2
-    return grid.integrate_values(integrand) / (4.0 * np.pi)
+    return _integrate_values(grid, integrand) / (4.0 * np.pi)
 
 
 @pytest.mark.parametrize("radial, angular", [(400, 512), (200, 256)])
@@ -214,7 +221,7 @@ LINE_REFERENCE = [
 
 @pytest.mark.parametrize("t, s, want", LINE_REFERENCE)
 def test_real_axis_line_matches_mpmath(t, s, want):
-    assert real_axis_correction_line(t, s) == pytest.approx(want, abs=1e-13)
+    assert real_axis_correction_line([t], [s])[0] == pytest.approx(want, abs=1e-13)
 
 
 def test_real_axis_line_array_matches_mpmath():
@@ -227,15 +234,22 @@ def test_real_axis_line_array_matches_mpmath():
 
 
 def test_real_axis_line_broadcasts_a_scalar_against_an_array():
+    # a one-element array against a longer one
     s = np.array([0.7, 0.0, 25.0, 700.0])
-    got = real_axis_correction_line(1.5, s)
-    assert got.tolist() == [real_axis_correction_line(1.5, v) for v in s.tolist()]
-    assert real_axis_correction_line(s, 1.5).tolist() == [real_axis_correction_line(v, 1.5) for v in s.tolist()]
+    got = real_axis_correction_line([1.5], s)
+    assert got.tolist() == [real_axis_correction_line([1.5], [v])[0] for v in s.tolist()]
+    assert real_axis_correction_line(s, [1.5]).tolist() == [real_axis_correction_line([v], [1.5])[0] for v in s]
+
+
+def test_real_axis_line_takes_arrays_only():
+    for t, s in ((1.5, 0.7), ([1.5], 0.7), (1.5, [0.7]), ([[1.5]], [0.7])):
+        with pytest.raises(ValueError, match="t and s must be one-dimensional"):
+            real_axis_correction_line(t, s)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_real_axis_line_rejects_non_finite(bad):
-    for t, s in ((bad, 1.0), (1.0, bad), (np.array([1.0, bad]), 1.0), (1.0, np.array([bad, 2.0]))):
+    for t, s in (([bad], [1.0]), ([1.0], [bad]), (np.array([1.0, bad]), [1.0]), ([1.0], np.array([bad, 2.0]))):
         with pytest.raises(ValueError, match="t and s"):
             real_axis_correction_line(t, s)
 
@@ -247,31 +261,30 @@ def test_real_axis_line_rejects_non_finite(bad):
 )
 def test_real_axis_line_refuses_complex_arguments(t, s):
     with pytest.raises(ValueError, match="complex"):
-        real_axis_correction_line(t, s)
+        real_axis_correction_line(np.atleast_1d(t), np.atleast_1d(s))
 
 
 def test_real_axis_line_vanishes_at_s_zero():
-    for t in (0.0, 2.7, 300.0):
-        assert real_axis_correction_line(t, 0.0) == 0.0
+    assert real_axis_correction_line([0.0, 2.7, 300.0], [0.0]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_real_axis_line_small_s_limit():
     # I(0, s) -> s^2/8 as s -> 0
     for s in (1e-3, 1e-8):
-        assert real_axis_correction_line(0.0, s) == pytest.approx(s * s / 8.0, rel=1e-6, abs=0.0)
+        assert real_axis_correction_line([0.0], [s])[0] == pytest.approx(s * s / 8.0, rel=1e-6, abs=0.0)
 
 
 def test_real_axis_line_even_in_both_arguments():
-    for t, s in ((1.5, 0.7), (90.0, 60.0), (300.0, 2.0)):
-        base = real_axis_correction_line(t, s)
-        assert real_axis_correction_line(-t, s) == base
-        assert real_axis_correction_line(t, -s) == base
-        assert real_axis_correction_line(-t, -s) == base
+    t, s = np.array([1.5, 90.0, 300.0]), np.array([0.7, 60.0, 2.0])
+    base = real_axis_correction_line(t, s).tobytes()
+    assert real_axis_correction_line(-t, s).tobytes() == base
+    assert real_axis_correction_line(t, -s).tobytes() == base
+    assert real_axis_correction_line(-t, -s).tobytes() == base
 
 
 def test_quarter_circle_rule_is_shared_and_read_only():
-    rule = quarter_circle_rule(1)
-    assert quarter_circle_rule(1) is rule
+    rule = _quarter_circle_rule(1)
+    assert _quarter_circle_rule(1) is rule
     for array in rule:
         assert array.shape == (96,)
         with pytest.raises(ValueError, match="read-only"):
@@ -280,11 +293,9 @@ def test_quarter_circle_rule_is_shared_and_read_only():
 
 def test_quarter_circle_rule_panels():
     for panels in (1, 3):
-        cos_phi, sin_phi, weights = quarter_circle_rule(panels)
+        cos_phi, sin_phi, weights = _quarter_circle_rule(panels)
         assert cos_phi.shape == (96 * panels,)
         assert weights.sum() == pytest.approx(math.pi / 2, abs=1e-14)
         # int_0^{pi/2} cos^2 = pi/4
         assert weights @ cos_phi**2 == pytest.approx(math.pi / 4, abs=1e-14)
         assert np.all(np.diff(sin_phi) > 0.0)
-    with pytest.raises(ValueError):
-        quarter_circle_rule(0)
